@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench bench-gate pgo
+.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench-check bench bench-gate pgo
 
 # BENCH is the tracked benchmark artifact for this PR in the BENCH_<n>.json
 # trajectory; bump the number when a PR re-records performance.
@@ -66,7 +66,9 @@ obs-e2e:
 # serving path writes wide events under real batch load with rotation
 # forced, the log is replayed the way cmd/sigrec-analyze does, and the
 # replay's recovery/error/truncation/function/rule-fire totals must equal
-# the /metrics counter deltas exactly (CI job "smoke").
+# the /metrics counter deltas exactly, and the replayed latencies must
+# reproduce every bucket delta of the recovery and phase histograms
+# (CI job "smoke").
 analytics-e2e:
 	$(GO) test -race -count=1 -run 'TestAnalyticsE2E' ./internal/server
 	$(GO) test -race -count=1 ./internal/eventlog
@@ -111,6 +113,13 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'E1|E3' -benchtime 1x .
+
+# Vet and test the repository benchmark (bench/, its own Go module, so
+# `go build ./...` and `make check` never compile it): an API change in
+# the packages it drives fails here instead of at the next benchmark run
+# (CI job "smoke", ~35s).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the E1/E3 experiment benchmarks, the serving-layer throughput
 # (req/s), and the tracing- and event-log-overhead A/B pairs as

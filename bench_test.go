@@ -199,24 +199,31 @@ func benchE3Tracing(b *testing.B, tracer *obs.Tracer) {
 func BenchmarkE3TracingOff(b *testing.B) { benchE3Tracing(b, nil) }
 func BenchmarkE3TracingOn(b *testing.B)  { benchE3Tracing(b, obs.New(obs.Config{})) }
 
-// benchE3OTLP is the OTLP-export A/B on the same E3-shaped workload. Off
-// arms a tracer with the flight recorder only; On adds the exporter sink,
-// so every finished recovery is offered for export. The timed section
-// models the stalled-collector worst case — the exporter is not draining,
-// so the sink's non-blocking send fills the bounded queue and then drops
-// — because that is the contract the gate defends: whatever the collector
-// does, the recovery path pays one channel operation, nothing more.
-// Batching, JSON encoding, and HTTP belong on the exporter's goroutine;
-// any of that work leaking into Enqueue (say, a synchronous encode) trips
-// the 10% allocs/op ratio immediately. The full encode-and-POST path
-// still runs — against a live in-process collector — but after
-// StopTimer, as the drain-everything flush that Close performs over the
-// retained records.
+// benchE3OTLP is the OTLP-export A/B on the same E3-shaped workload. Both
+// sides arm a tracer with a sink, so every finished recovery is offered
+// for export: On hands it to the exporter, Off to a bare bounded channel
+// of the same capacity. The timed section models the stalled-collector
+// worst case — nothing drains either queue, so the sink's non-blocking
+// send fills it and then drops — because that is the contract the gate
+// defends: whatever the collector does, the recovery path pays one
+// channel operation, nothing more. Batching, JSON encoding, and HTTP
+// belong on the exporter's goroutine; any of that work leaking into
+// Enqueue (say, a synchronous encode) trips the 10% allocs/op ratio
+// immediately. The full encode-and-POST path still runs — against a live
+// in-process collector — but after StopTimer, as the drain-everything
+// flush that Close performs over the retained records.
 func benchE3OTLP(b *testing.B, otlpOn bool) {
 	c, err := corpus.Generate(corpus.Config{Seed: 7, Solidity: 32, Vyper: 0})
 	if err != nil {
 		b.Fatal(err)
 	}
+	// A small bounded queue keeps the retained live set constant (records
+	// beyond it drop, as against a stalled collector). The Off side holds
+	// the same number of records, so both sides mark equal live heaps on
+	// every GC cycle and the pair compares the exporter's enqueue with a
+	// bare channel send, not the collector's cost of a retained backlog
+	// against a heap without one.
+	const queueSize = 512
 	var sink func(*obs.Record)
 	var flush func()
 	if otlpOn {
@@ -224,14 +231,10 @@ func benchE3OTLP(b *testing.B, otlpOn bool) {
 			_, _ = io.Copy(io.Discard, r.Body)
 		}))
 		defer col.Close()
-		// A small bounded queue keeps the retained live set constant
-		// (records beyond it drop, as against a stalled collector), so the
-		// timed loop measures the enqueue instruction, not GC pressure
-		// from an ever-growing backlog.
 		exp := otlp.New(otlp.Config{
 			Endpoint:    col.URL,
 			Interval:    time.Hour,
-			QueueSize:   512,
+			QueueSize:   queueSize,
 			ServiceName: "bench",
 			Registry:    telemetry.NewRegistry(),
 		})
@@ -242,6 +245,14 @@ func benchE3OTLP(b *testing.B, otlpOn bool) {
 			defer cancel()
 			if err := exp.Close(ctx); err != nil {
 				b.Fatal(err)
+			}
+		}
+	} else {
+		held := make(chan *obs.Record, queueSize)
+		sink = func(rec *obs.Record) {
+			select {
+			case held <- rec:
+			default:
 			}
 		}
 	}

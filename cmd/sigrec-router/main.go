@@ -111,8 +111,8 @@ func run() error {
 	}
 
 	// OTLP export ships the router's registry (routing counters, per-shard
-	// health, latency summaries) and — through the tracer's sink — the span
-	// tree recorded for every routed request: route decision, per-attempt
+	// health, the latency histogram) and — through the tracer's sink — the
+	// span tree recorded for every routed request: route decision, per-attempt
 	// client spans, health polls. The exporter is created before the router
 	// so both can share one registry and the tracer can point at its sink.
 	reg := telemetry.NewRegistry()

@@ -193,7 +193,7 @@ func run() error {
 
 	// Burn-rate engine over the scanner's own outcome counters (errors are
 	// a subset of completions, so the availability SLI is exact) plus an
-	// optional latency objective on the recovery summary. State serves at
+	// optional latency objective on the recovery histogram. State serves at
 	// /debug/slo on -debug-addr; transitions land in the event log.
 	objectives := []slo.Objective{{
 		Name:   "availability",
@@ -208,7 +208,7 @@ func run() error {
 			Name:   fmt.Sprintf("latency_p99_%s", *sloLatUS),
 			Target: 0.99,
 			Source: slo.LatencySource{
-				Summary:     reg.Summary("sigrec_recover_latency_microseconds", nil),
+				Histogram:   reg.Histogram("sigrec_recover_duration_microseconds"),
 				ThresholdUS: float64(sloLatUS.Microseconds()),
 			},
 		})

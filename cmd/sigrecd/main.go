@@ -178,7 +178,7 @@ func run() error {
 	}
 
 	// Burn-rate engine: availability over the /v1/recover outcome counters
-	// and (optionally) a latency objective over the recovery summary, both
+	// and (optionally) a latency objective over the recovery histogram, both
 	// already in the shared registry, evaluated on the SRE-workbook
 	// multi-window rules. Alert transitions land in the event log; state is
 	// served at /debug/slo on both listeners.
@@ -196,7 +196,7 @@ func run() error {
 			Name:   fmt.Sprintf("latency_p99_%s", *sloLatUS),
 			Target: 0.99,
 			Source: slo.LatencySource{
-				Summary:     reg.Summary("sigrec_recover_latency_microseconds", nil),
+				Histogram:   reg.Histogram("sigrec_recover_duration_microseconds"),
 				ThresholdUS: float64(sloLatUS.Microseconds()),
 			},
 		})

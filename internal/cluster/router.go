@@ -102,7 +102,6 @@ type routerMetrics struct {
 	batches     *telemetry.Counter
 	contracts   *telemetry.Counter
 	latency     *telemetry.Histogram
-	latencySum  *telemetry.Summary
 
 	shardRequests *telemetry.CounterVec
 	shardErrors   *telemetry.CounterVec
@@ -132,8 +131,7 @@ func newRouterMetrics(reg *telemetry.Registry, shards []ShardAddr) *routerMetric
 		hedgesWon:   reg.Counter("cluster_router_hedges_won_total"),
 		batches:     reg.Counter("cluster_router_batches_total"),
 		contracts:   reg.Counter("cluster_router_batch_contracts_total"),
-		latency:     reg.Histogram("cluster_router_duration_microseconds", nil),
-		latencySum:  reg.Summary("cluster_router_latency_microseconds", nil),
+		latency:     reg.Histogram("cluster_router_duration_microseconds"),
 
 		shardRequests: reg.CounterVec("cluster_shard_requests_total", "shard"),
 		shardErrors:   reg.CounterVec("cluster_shard_errors_total", "shard"),
@@ -649,9 +647,7 @@ func (rt *Router) handleRecover(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rt.m.requests.Inc()
 	defer func() {
-		us := uint64(time.Since(start).Microseconds())
-		rt.m.latency.Observe(us)
-		rt.m.latencySum.Observe(us)
+		rt.m.latency.ObserveDuration(time.Since(start))
 	}()
 
 	baseID := clientRequestID(r)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"sigrec/internal/core"
 	"sigrec/internal/keccak"
 	"sigrec/internal/server"
+	"sigrec/internal/telemetry"
 )
 
 // stubShard is a fake sigrecd: /healthz, /metrics, and a pluggable
@@ -33,8 +35,9 @@ func newStubShard(t *testing.T, recover http.HandlerFunc) *stubShard {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
+	exposition := stubLatencyExposition()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `sigrec_recover_latency_microseconds{quantile="0.95"} 100`)
+		fmt.Fprint(w, exposition)
 	})
 	mux.HandleFunc("POST /v1/recover", func(w http.ResponseWriter, r *http.Request) {
 		s.hits.Add(1)
@@ -43,6 +46,60 @@ func newStubShard(t *testing.T, recover http.HandlerFunc) *stubShard {
 	s.srv = httptest.NewServer(mux)
 	t.Cleanup(s.srv.Close)
 	return s
+}
+
+// stubLatencies are the recovery latencies a stub shard reports: 10us to
+// 10ms in 10us steps, so the true p95 is the 950th value, 9500us, which
+// lies in the (5000, 10000] bucket.
+func stubLatencies() []uint64 {
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i+1) * 10
+	}
+	return vals
+}
+
+// stubLatencyExposition renders stubLatencies as a shard's /metrics
+// would: the sigrec_recover_duration_microseconds histogram family, its
+// bucket lines carrying request-id exemplars.
+func stubLatencyExposition() string {
+	reg := telemetry.NewRegistry()
+	h := reg.Histogram("sigrec_recover_duration_microseconds")
+	for i, us := range stubLatencies() {
+		h.ObserveExemplar(us, fmt.Sprintf("stub-%d", i))
+	}
+	return reg.Snapshot().String()
+}
+
+// The router's hedge input is the p95 read off the shard's recovery
+// histogram buckets: it must land inside the bucket that holds the true
+// p95 of what the shard observed.
+func TestShardP95FromHistogram(t *testing.T) {
+	stub := newStubShard(t, okRecover)
+	rt := newTestRouter(t, Config{
+		Shards:         []ShardAddr{{ID: "s1", URL: stub.srv.URL}},
+		HealthInterval: time.Hour, // poll driven by hand below
+	})
+	rt.shards["s1"].poll(t.Context(), rt.client, rt.m)
+
+	vals := stubLatencies()
+	truth := vals[int(math.Ceil(0.95*float64(len(vals))))-1]
+	var lo, hi uint64
+	for _, b := range telemetry.LatencyBuckets() {
+		if truth <= b {
+			hi = b
+			break
+		}
+		lo = b
+	}
+	got := rt.Registry().Snapshot().LabeledGauges["cluster_shard_p95_microseconds"].Values["s1"]
+	if got <= int64(lo) || got > int64(hi) {
+		t.Fatalf("cluster_shard_p95_microseconds = %d, want inside the true p95's bucket (%d, %d] (true p95 %d)",
+			got, lo, hi, truth)
+	}
+	if p95 := rt.shards["s1"].p95us.Load(); p95 != got {
+		t.Fatalf("hedge input p95us = %d, gauge = %d", p95, got)
+	}
 }
 
 // okRecover answers like a healthy shard: echoes the attempt id and

@@ -9,7 +9,7 @@ import (
 
 // shard is the router's live view of one sigrecd backend: identity,
 // breaker, health, inflight load, and the p95-derived hedge delay scraped
-// from the shard's CKMS latency summary.
+// from the shard's recovery latency histogram.
 type shard struct {
 	id  string
 	url string // base URL, no trailing slash
@@ -17,8 +17,9 @@ type shard struct {
 	breaker  *Breaker
 	healthy  atomic.Bool
 	inflight atomic.Int64
-	// p95us is the shard's sigrec_recover_latency_microseconds p95 from
-	// its last /metrics scrape; 0 until the first successful scrape.
+	// p95us is the p95 of the shard's sigrec_recover_duration_microseconds
+	// buckets at its last /metrics scrape; 0 until the first scrape that
+	// found observations.
 	p95us atomic.Int64
 }
 
@@ -44,8 +45,8 @@ func (s *shard) hedgeDelay(multiplier float64, min, max time.Duration) time.Dura
 }
 
 // poll refreshes health and the hedge-delay quantile once. Health is the
-// shard's /healthz (200 = routable; 503 covers draining); the p95 comes
-// from the shard's /metrics exposition.
+// shard's /healthz (200 = routable; 503 covers draining); the p95 is read
+// off the recovery histogram buckets of the shard's /metrics exposition.
 func (s *shard) poll(ctx context.Context, client *http.Client, m *routerMetrics) {
 	hctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
@@ -76,7 +77,7 @@ func (s *shard) poll(ctx context.Context, client *http.Client, m *routerMetrics)
 			series, perr := ParseExposition(resp.Body)
 			resp.Body.Close()
 			if perr == nil {
-				if v, ok := series[`sigrec_recover_latency_microseconds{quantile="0.95"}`]; ok && v > 0 {
+				if v := histogramFromSeries(series, "sigrec_recover_duration_microseconds").Quantile(0.95); v > 0 {
 					s.p95us.Store(int64(v))
 					m.shardHedgeUS.With(s.id).Set(int64(v))
 				}

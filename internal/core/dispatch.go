@@ -29,6 +29,7 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 	t := newTASE(program, nil, lim) // selWord nil: the selector stays symbolic
 	events := t.run()
 	annotateTASE(sp, t, "")
+	it := t.it
 	finishTASE(t, ev)
 	var out [][4]byte
 	seen := make(map[[4]byte]bool)
@@ -57,6 +58,7 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 			out = append(out, id)
 		}
 	}
+	it.recycle() // only selector bytes leave the dispatcher walk
 	return out, t.trunc
 }
 

@@ -82,12 +82,12 @@ func TestRecoverEmitsWideEvents(t *testing.T) {
 	if len(rep.RuleFires) == 0 {
 		t.Fatal("no rule fires across the whole corpus")
 	}
-	// Phase summaries observed once per uncached recovery.
+	// Phase histograms observed once per uncached recovery.
 	snap := Metrics().Snapshot()
-	if got := snap.Summaries["sigrec_phase_disasm_microseconds"].Count; got < uint64(len(c.Entries)) {
-		t.Fatalf("disasm summary count = %d, want >= %d", got, len(c.Entries))
+	if got := snap.Histograms["sigrec_phase_disasm_microseconds"].Count; got < uint64(len(c.Entries)) {
+		t.Fatalf("disasm histogram count = %d, want >= %d", got, len(c.Entries))
 	}
-	if got := snap.Summaries["sigrec_recover_latency_microseconds"].Count; got < uint64(len(c.Entries))+1 {
-		t.Fatalf("recovery summary count = %d, want >= %d", got, len(c.Entries)+1)
+	if got := snap.Histograms["sigrec_recover_duration_microseconds"].Count; got < uint64(len(c.Entries))+1 {
+		t.Fatalf("recovery histogram count = %d, want >= %d", got, len(c.Entries)+1)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"sigrec/internal/evm"
 )
 
@@ -40,10 +42,16 @@ type interner struct {
 	// concrete Word, and its Args array out of chunked arrays instead of
 	// individual heap objects. Nodes are immutable and share the trace's
 	// lifetime (nothing outlives the recovery holding an *Expr), so whole
-	// chunks die together and the per-node allocation disappears.
+	// chunks die together and the per-node allocation disappears; the
+	// recovery pipeline goes further and recycles the Expr and Word chunks
+	// into the next trace (see recycle).
 	exprSlab []Expr
 	wordSlab []evm.Word
 	argSlab  []*Expr
+	// exprChunks and wordChunks chain the pooled chunks behind exprSlab
+	// and wordSlab, newest first, so recycle can hand them back.
+	exprChunks *exprChunk
+	wordChunks *wordChunk
 
 	// smallConst caches the canonical nodes for constants 0..255 in front
 	// of the consts table — stack offsets, head offsets, and mask widths
@@ -75,10 +83,34 @@ type envInternKey struct {
 
 const internSlabLen = 128
 
+// exprChunk and wordChunk are the pooled slab chunks, linked through next
+// so an interner can track the chunks it holds without allocating.
+type exprChunk struct {
+	nodes [internSlabLen]Expr
+	next  *exprChunk
+}
+
+type wordChunk struct {
+	words [internSlabLen]evm.Word
+	next  *wordChunk
+}
+
+// exprChunkPool and wordChunkPool recycle slab chunks from one trace to
+// the next. The chunks are close to half of the bytes a recovery
+// allocates, and a recovery's heap is otherwise almost all garbage, so
+// reusing them sets how often the collector runs. Expr chunks go back
+// zeroed; word chunks need no clearing, newWord overwrites each slot.
+var (
+	exprChunkPool = sync.Pool{New: func() any { return new(exprChunk) }}
+	wordChunkPool = sync.Pool{New: func() any { return new(wordChunk) }}
+)
+
 // newExpr carves one zeroed node from the slab.
 func (it *interner) newExpr() *Expr {
 	if len(it.exprSlab) == 0 {
-		it.exprSlab = make([]Expr, internSlabLen)
+		c := exprChunkPool.Get().(*exprChunk)
+		c.next, it.exprChunks = it.exprChunks, c
+		it.exprSlab = c.nodes[:]
 	}
 	e := &it.exprSlab[0]
 	it.exprSlab = it.exprSlab[1:]
@@ -88,7 +120,9 @@ func (it *interner) newExpr() *Expr {
 // newWord stores w in the word slab and returns its address.
 func (it *interner) newWord(w evm.Word) *evm.Word {
 	if len(it.wordSlab) == 0 {
-		it.wordSlab = make([]evm.Word, internSlabLen)
+		c := wordChunkPool.Get().(*wordChunk)
+		c.next, it.wordChunks = it.wordChunks, c
+		it.wordSlab = c.words[:]
 	}
 	p := &it.wordSlab[0]
 	it.wordSlab = it.wordSlab[1:]
@@ -125,6 +159,31 @@ func newInterner() *interner {
 // on in the recorded events.
 func (it *interner) release() {
 	it.apps, it.consts, it.envs = nil, nil, nil
+}
+
+// recycle returns the slab chunks to their pools. Call it only once no
+// node this interner installed can be reached: inferRecycled calls it
+// after inference over a trace, and the dispatcher walk after reading the
+// selectors out of its events. Traces handed to callers (TraceFunction)
+// are never recycled. Nil-safe.
+func (it *interner) recycle() {
+	if it == nil {
+		return
+	}
+	for c := it.exprChunks; c != nil; {
+		next := c.next
+		*c = exprChunk{}
+		exprChunkPool.Put(c)
+		c = next
+	}
+	for c := it.wordChunks; c != nil; {
+		next := c.next
+		c.next = nil
+		wordChunkPool.Put(c)
+		c = next
+	}
+	it.exprChunks, it.wordChunks = nil, nil
+	it.exprSlab, it.wordSlab = nil, nil
 }
 
 // tableLen reports the total number of installed nodes (test hook).

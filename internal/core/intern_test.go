@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"testing"
 
+	"sigrec/internal/abi"
+	"sigrec/internal/corpus"
 	"sigrec/internal/evm"
 )
 
@@ -107,5 +112,85 @@ func TestInternerReleaseIsolation(t *testing.T) {
 	}
 	if it2.hits != 0 || it2.misses != 1 {
 		t.Fatalf("expected a clean miss after release: hits=%d misses=%d", it2.hits, it2.misses)
+	}
+}
+
+// TestInternerRecycleConcurrent runs recoveries on several goroutines at
+// once, so slab chunks recycled by one trace are carved again by others,
+// and holds every result until all are done. Each must still equal its
+// sequential run, and each function must equal inference over a
+// TraceFunction trace (never recycled): nothing a recovery returns may alias
+// a recycled node, and no chunk may be recycled before inference is done
+// with it. A recycled Expr chunk must also come back zeroed.
+func TestInternerRecycleConcurrent(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 5, Solidity: 40, Vyper: 10, MaxParams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := make([]string, len(c.Entries))
+	for i, e := range c.Entries {
+		res, err := RecoverContext(ctx, e.Code, Options{})
+		want[i] = renderResult(res) + fmt.Sprint(err)
+	}
+	const workers = 4
+	type held struct {
+		res Result
+		err error
+	}
+	got := make([][]held, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]held, len(c.Entries))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range c.Entries {
+				i := (k + 7*w) % len(c.Entries)
+				res, err := RecoverContext(ctx, c.Entries[i].Code, Options{SelectorWorkers: 1 + w%2})
+				got[w][i] = held{res, err}
+			}
+		}(w)
+	}
+	wg.Wait()
+	fn := func(f RecoveredFunction) string {
+		return fmt.Sprintf("%s %v %v %v", f.TypeList(), f.ParamRules, f.Language, f.Truncated)
+	}
+	reference := func(code []byte, sel abi.Selector) RecoveredFunction {
+		tr := TraceFunction(evm.Disassemble(code), sel)
+		d := Infer(tr)
+		return RecoveredFunction{Selector: sel, Inputs: d.Types, ParamRules: d.ParamRules,
+			Language: d.Language, Truncated: tr.Truncated}
+	}
+	checked := 0
+	for w := range got {
+		for i, h := range got[w] {
+			if r := renderResult(h.res) + fmt.Sprint(h.err); r != want[i] {
+				t.Fatalf("worker %d entry %d: held result diverges\ngot:\n%s\nwant:\n%s", w, i, r, want[i])
+			}
+			for _, f := range h.res.Functions {
+				if ref := reference(c.Entries[i].Code, f.Selector); fn(f) != fn(ref) {
+					t.Fatalf("worker %d entry %d %x: %s, unrecycled trace says %s", w, i, f.Selector, fn(f), fn(ref))
+				}
+				checked++
+			}
+		}
+	}
+	if checked < len(c.Entries) {
+		t.Fatalf("only %d functions checked over %d entries", checked, len(c.Entries))
+	}
+
+	it := newInterner()
+	for i := 0; i < internSlabLen; i++ {
+		e := it.constUint(uint64(1000 + i))
+		e.str = "x"
+	}
+	it.recycle()
+	it2 := newInterner()
+	for i := 0; i < internSlabLen; i++ {
+		if e := it2.newExpr(); e.Kind != 0 || e.Conc != nil || e.Args != nil || e.Env != "" ||
+			e.Seq != 0 || e.id != 0 || e.str != "" {
+			t.Fatalf("node %d of a recycled chunk is not zeroed: %+v", i, *e)
+		}
 	}
 }

@@ -20,8 +20,7 @@ func init() {
 	tel.SetHelp("sigrec_rule_fired_total", "Inference-rule applications by rule (R1-R31, the paper's Fig. 19 live)")
 	tel.SetHelp("sigrec_truncations_total", "Budget-truncated TASE explorations by cause")
 	tel.SetHelp("sigrec_build_info", "Build identity; constant 1")
-	tel.SetHelp("sigrec_recover_duration_microseconds", "Whole-contract recovery latency (E3 buckets)")
-	tel.SetHelp("sigrec_recover_latency_microseconds", "Whole-contract recovery latency (streaming CKMS quantiles)")
+	tel.SetHelp("sigrec_recover_duration_microseconds", "Whole-contract recovery latency; the Fig. 17 buckets end at le 1000, 10000, 100000")
 	tel.SetHelp("sigrec_phase_disasm_microseconds", "Disassembly phase latency per recovery")
 	tel.SetHelp("sigrec_phase_dispatch_microseconds", "Dispatcher selector-extraction latency per recovery")
 	tel.SetHelp("sigrec_phase_explore_microseconds", "TASE exploration latency per recovery, summed over selectors")
@@ -56,7 +55,15 @@ var (
 	mStoreMisses      = tel.Counter("sigrec_store_misses_total")
 	mStoreWriteErrors = tel.Counter("sigrec_store_write_errors_total")
 	mBatches          = tel.Counter("sigrec_batches_total")
-	mRecoverUS        = tel.Histogram("sigrec_recover_duration_microseconds", nil)
+
+	// Latency histograms, all on telemetry.LatencyBuckets: the recovery
+	// total (the Fig. 17 distribution, and the SLO and hedge input) and
+	// the four phases that attribute where recovery time goes.
+	mRecoverUS  = tel.Histogram("sigrec_recover_duration_microseconds")
+	mDisasmUS   = tel.Histogram("sigrec_phase_disasm_microseconds")
+	mDispatchUS = tel.Histogram("sigrec_phase_dispatch_microseconds")
+	mExploreUS  = tel.Histogram("sigrec_phase_explore_microseconds")
+	mInferUS    = tel.Histogram("sigrec_phase_infer_microseconds")
 
 	// Interner and copy-on-write state instruments. Hit rate is exposed as a
 	// permille gauge so it reads directly off the exposition endpoint; pool
@@ -70,16 +77,6 @@ var (
 
 	// mTruncCause breaks truncations down by which budget was hit.
 	mTruncCause = tel.CounterVec("sigrec_truncations_total", "cause")
-
-	// Streaming-quantile summaries: true p50/p95/p99 on the exposition
-	// without pre-chosen bucket bounds. sRecoverUS complements the E3
-	// histogram (kept for bucket-compatible dashboards); the phase
-	// summaries attribute where recovery time goes.
-	sRecoverUS  = tel.Summary("sigrec_recover_latency_microseconds", nil)
-	sDisasmUS   = tel.Summary("sigrec_phase_disasm_microseconds", nil)
-	sDispatchUS = tel.Summary("sigrec_phase_dispatch_microseconds", nil)
-	sExploreUS  = tel.Summary("sigrec_phase_explore_microseconds", nil)
-	sInferUS    = tel.Summary("sigrec_phase_infer_microseconds", nil)
 )
 
 // mRuleFired holds one pre-resolved counter per inference rule, indexed by

@@ -153,7 +153,6 @@ func RecoverContext(ctx context.Context, code []byte, opts Options) (Result, err
 			mRecoveries.Inc()
 			us := uint64(time.Since(start).Microseconds())
 			mRecoverUS.ObserveExemplar(us, requestID)
-			sRecoverUS.Observe(us)
 			if opts.EventLog != nil {
 				ev := &eventlog.Event{
 					RequestID: requestID,
@@ -199,7 +198,6 @@ func RecoverContext(ctx context.Context, code []byte, opts Options) (Result, err
 	mFunctions.Add(uint64(len(res.Functions)))
 	us := uint64(time.Since(start).Microseconds())
 	mRecoverUS.ObserveExemplar(us, requestID)
-	sRecoverUS.Observe(us)
 	if ev != nil {
 		ev.DurUS = int64(us)
 		ev.Functions = len(res.Functions)
@@ -241,8 +239,8 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	lim := opts.limits(ctx)
 
 	// Phase boundaries are clocked unconditionally (a handful of monotonic
-	// reads against ms-scale phases): the per-phase quantile summaries and
-	// the wide event need them whether or not tracing is armed.
+	// reads against ms-scale phases): the per-phase histograms and the
+	// wide event need them whether or not tracing is armed.
 	t0 := time.Now()
 
 	// Each phase boundary shares one clock read (NowUS) between the ending
@@ -271,10 +269,10 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	disasmD, dispatchD := t1.Sub(t0), t2.Sub(t1)
 	var exploreD, inferD time.Duration
 	recordPhases := func() {
-		sDisasmUS.Observe(uint64(disasmD.Microseconds()))
-		sDispatchUS.Observe(uint64(dispatchD.Microseconds()))
-		sExploreUS.Observe(uint64(exploreD.Microseconds()))
-		sInferUS.Observe(uint64(inferD.Microseconds()))
+		mDisasmUS.Observe(uint64(disasmD.Microseconds()))
+		mDispatchUS.Observe(uint64(dispatchD.Microseconds()))
+		mExploreUS.Observe(uint64(exploreD.Microseconds()))
+		mInferUS.Observe(uint64(inferD.Microseconds()))
 		if ev != nil {
 			ev.DisasmUS = disasmD.Microseconds()
 			ev.DispatchUS = dispatchD.Microseconds()
@@ -309,7 +307,7 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 			esp.EndAt(now)
 		}
 		isp := rec.SpanAt("infer", now)
-		d := Infer(tr)
+		d := inferRecycled(tr)
 		p2 := time.Now()
 		if isp != nil {
 			isp.SetAttrs(
@@ -378,7 +376,7 @@ func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte
 				o.tr, o.t = traceFunctionEngine(program, selectors[i], lim)
 				p1 := time.Now()
 				o.exploreEndUS = rec.NowUS()
-				o.inf = Infer(o.tr)
+				o.inf = inferRecycled(o.tr)
 				p2 := time.Now()
 				o.inferEndUS = rec.NowUS()
 				o.exploreD = p1.Sub(p0)
@@ -418,14 +416,26 @@ func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte
 	}
 }
 
+// inferRecycled is Infer over a trace the pipeline owns, followed by
+// returning the trace's slab chunks to their pools. Inferred holds types
+// and rule ids, never nodes, so once inference is done nothing reaches
+// them; the engine counters that span annotation and finishTASE read
+// later live outside the slabs. Traces handed to callers (TraceFunction)
+// never go through here.
+func inferRecycled(tr Trace) Inferred {
+	d := Infer(tr)
+	tr.it.recycle()
+	return d
+}
+
 // RecoverFunction runs TASE and inference for a single known selector
-// under the default budgets. The recovery is metered into the E3-bucket
+// under the default budgets. The recovery is metered into the recovery
 // latency histogram.
 func RecoverFunction(code []byte, selector abi.Selector) (RecoveredFunction, RuleStats) {
 	start := time.Now()
 	program := evm.Disassemble(code)
 	tr := TraceFunction(program, selector)
-	d := Infer(tr)
+	d := inferRecycled(tr)
 	mRecoverUS.ObserveDuration(time.Since(start))
 	return RecoveredFunction{
 		Selector:   selector,

@@ -110,6 +110,10 @@ type Trace struct {
 	Events   []Event
 	// Truncated is set when an exploration budget was hit.
 	Truncated bool
+
+	// it is the interner whose slabs hold the events' nodes; the recovery
+	// pipeline recycles it once inference is done with the trace.
+	it *interner
 }
 
 // state is one symbolic machine state during path exploration. Forks share
@@ -866,5 +870,5 @@ func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace,
 	selWord := evm.WordFromBytes(b[:])
 	t := newTASE(program, &selWord, lim)
 	events := t.run()
-	return Trace{Selector: selector, Events: events, Truncated: t.trunc}, t
+	return Trace{Selector: selector, Events: events, Truncated: t.trunc, it: t.it}, t
 }

@@ -11,9 +11,8 @@ import (
 // counters and CounterVec families become monotonic cumulative Sums,
 // gauges (int and float, plain and labeled) become Gauges, histograms
 // become explicit-bucket Histograms (per-bucket counts, as the OTLP
-// schema requires — the registry snapshot is cumulative), CKMS summaries
-// become Summary points with their tracked quantiles, and info metrics
-// become constant-1 gauges carrying their labels as attributes. HELP text
+// schema requires — the registry snapshot is cumulative), and info
+// metrics become constant-1 gauges carrying their labels as attributes. HELP text
 // rides along as the description. Metric and series order is
 // deterministic (sorted), so golden tests and diffing collectors see a
 // stable stream. startNano/nowNano parameterize the cumulative window —
@@ -38,7 +37,7 @@ func metricsFromSnapshot(s telemetry.Snapshot, startNano, nowNano int64) []wireM
 
 	names := make([]string, 0,
 		len(s.Counters)+len(s.Gauges)+len(s.FloatGauges)+len(s.Histograms)+
-			len(s.Summaries)+len(s.LabeledCounters)+len(s.LabeledGauges)+
+			len(s.LabeledCounters)+len(s.LabeledGauges)+
 			len(s.LabeledFloatGauges)+len(s.Infos))
 	for n := range s.Counters {
 		names = append(names, n)
@@ -50,9 +49,6 @@ func metricsFromSnapshot(s telemetry.Snapshot, startNano, nowNano int64) []wireM
 		names = append(names, n)
 	}
 	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	for n := range s.Summaries {
 		names = append(names, n)
 	}
 	for n := range s.LabeledCounters {
@@ -109,19 +105,6 @@ func metricsFromSnapshot(s telemetry.Snapshot, startNano, nowNano int64) []wireM
 			m.Gauge = g
 		case hasKey(s.Histograms, n):
 			m.Histogram = histogramMetric(s.Histograms[n], startTS, nowTS)
-		case hasKey(s.Summaries, n):
-			su := s.Summaries[n]
-			dp := summaryDataPoint{
-				StartTimeUnixNano: startTS,
-				TimeUnixNano:      nowTS,
-				Count:             formatUint(su.Count),
-				Sum:               su.Sum,
-			}
-			for _, q := range su.Quantiles {
-				dp.QuantileValues = append(dp.QuantileValues,
-					valueAtQuantile{Quantile: q.Q, Value: q.V})
-			}
-			m.Summary = &wireSummary{DataPoints: []summaryDataPoint{dp}}
 		case hasKey(s.InfoLabels, n):
 			var attrs []keyValue
 			labels := s.InfoLabels[n]

@@ -1,6 +1,7 @@
 package otlp
 
 import (
+	"strconv"
 	"testing"
 
 	"sigrec/internal/telemetry"
@@ -21,14 +22,14 @@ func testSnapshot() telemetry.Snapshot {
 	bv := r.FloatGaugeVec("sigrec_slo_burn_rate", "slo")
 	bv.With("availability:5m").Set(14.5)
 	bv.With("availability:1h").Set(2.25)
-	h := r.Histogram("sigrec_recover_latency_microseconds", []uint64{100, 1000, 10000})
+	h := r.Histogram("sigrec_recover_duration_microseconds")
 	h.Observe(50)
 	h.Observe(500)
 	h.ObserveExemplar(5000, "req-ex")
 	h.Observe(50000)
-	s := r.Summary("sigrec_queue_wait_microseconds", nil)
+	qw := r.Histogram("sigrec_queue_wait_microseconds")
 	for i := uint64(1); i <= 100; i++ {
-		s.Observe(i * 10)
+		qw.Observe(i * 10)
 	}
 	r.SetInfo("sigrec_build_info", map[string]string{"version": "pr9", "shard": "s0"})
 	return r.Snapshot()
@@ -75,17 +76,24 @@ func TestMetricsMapping(t *testing.T) {
 	}
 	// Histogram → per-bucket counts (snapshot is cumulative), float
 	// bounds, the exemplar carried through, microsecond unit inferred.
-	h := byName["sigrec_recover_latency_microseconds"]
+	h := byName["sigrec_recover_duration_microseconds"]
 	if h.Histogram == nil {
 		t.Fatal("histogram missing")
 	}
 	dp := h.Histogram.DataPoints[0]
-	if dp.Count != "4" || len(dp.BucketCounts) != 4 || len(dp.ExplicitBounds) != 3 {
+	nb := len(telemetry.LatencyBuckets())
+	if dp.Count != "4" || len(dp.BucketCounts) != nb+1 || len(dp.ExplicitBounds) != nb {
 		t.Fatalf("histogram point: %+v", dp)
 	}
-	for i, want := range []string{"1", "1", "1", "1"} {
+	// One observation in each of the buckets ending at 50, 500, 5000 and
+	// 50000us; every other bucket is empty.
+	for i, b := range dp.ExplicitBounds {
+		want := "0"
+		if b == 50 || b == 500 || b == 5000 || b == 50000 {
+			want = "1"
+		}
 		if dp.BucketCounts[i] != want {
-			t.Errorf("bucket %d = %s, want %s", i, dp.BucketCounts[i], want)
+			t.Errorf("bucket le=%v = %s, want %s", b, dp.BucketCounts[i], want)
 		}
 	}
 	if len(dp.Exemplars) != 1 || *dp.Exemplars[0].AsDouble != 5000 {
@@ -94,13 +102,20 @@ func TestMetricsMapping(t *testing.T) {
 	if h.Unit != "us" {
 		t.Errorf("unit = %q", h.Unit)
 	}
-	// Summary → tracked quantiles with sum/count.
-	su := byName["sigrec_queue_wait_microseconds"]
-	if su.Summary == nil || su.Summary.DataPoints[0].Count != "100" {
-		t.Fatalf("summary: %+v", su)
+	// The queue-wait latency is a histogram too: count, sum, and
+	// per-bucket counts that add back up to the count.
+	qw := byName["sigrec_queue_wait_microseconds"]
+	if qw.Histogram == nil || qw.Histogram.DataPoints[0].Count != "100" ||
+		*qw.Histogram.DataPoints[0].Sum != 50500 {
+		t.Fatalf("queue-wait histogram: %+v", qw)
 	}
-	if got := len(su.Summary.DataPoints[0].QuantileValues); got != 4 {
-		t.Errorf("quantiles = %d, want 4", got)
+	var total int
+	for _, c := range qw.Histogram.DataPoints[0].BucketCounts {
+		n, _ := strconv.Atoi(c)
+		total += n
+	}
+	if total != 100 {
+		t.Errorf("queue-wait bucket counts sum to %d, want 100", total)
 	}
 	// Info → constant-1 gauge with label attributes.
 	info := byName["sigrec_build_info"]

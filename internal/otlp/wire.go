@@ -122,7 +122,6 @@ type wireMetric struct {
 	Sum         *wireSum       `json:"sum,omitempty"`
 	Gauge       *wireGauge     `json:"gauge,omitempty"`
 	Histogram   *wireHistogram `json:"histogram,omitempty"`
-	Summary     *wireSummary   `json:"summary,omitempty"`
 }
 
 type wireSum struct {
@@ -165,22 +164,4 @@ type wireExemplar struct {
 	FilteredAttributes []keyValue `json:"filteredAttributes,omitempty"`
 	TimeUnixNano       string     `json:"timeUnixNano"`
 	AsDouble           *float64   `json:"asDouble,omitempty"`
-}
-
-type wireSummary struct {
-	DataPoints []summaryDataPoint `json:"dataPoints"`
-}
-
-type summaryDataPoint struct {
-	Attributes        []keyValue        `json:"attributes,omitempty"`
-	StartTimeUnixNano string            `json:"startTimeUnixNano"`
-	TimeUnixNano      string            `json:"timeUnixNano"`
-	Count             string            `json:"count"`
-	Sum               float64           `json:"sum"`
-	QuantileValues    []valueAtQuantile `json:"quantileValues"`
-}
-
-type valueAtQuantile struct {
-	Quantile float64 `json:"quantile"`
-	Value    float64 `json:"value"`
 }

@@ -55,7 +55,7 @@ var (
 	mCheckpointAge   = tel.Gauge("sigrec_scan_checkpoint_age_seconds")
 	mWorkQueueDepth  = tel.Gauge("sigrec_scan_work_queue_depth")
 	mStageInflight   = tel.GaugeVec("sigrec_scan_stage_inflight", "stage")
-	mQueueWait       = tel.Summary("sigrec_scan_queue_wait_microseconds", nil)
+	mQueueWait       = tel.Histogram("sigrec_scan_queue_wait_microseconds")
 
 	// Pre-resolved vec members for the hot per-deployment path.
 	mDeployDirect     = mDeployments.With("direct")

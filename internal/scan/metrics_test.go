@@ -47,8 +47,8 @@ func TestScanMetricsLint(t *testing.T) {
 			t.Errorf("stage %s inflight = %d after drain, want 0", stage, v)
 		}
 	}
-	if snap.Summaries["sigrec_scan_queue_wait_microseconds"].Count == 0 {
-		t.Error("queue-wait summary saw no observations")
+	if snap.Histograms["sigrec_scan_queue_wait_microseconds"].Count == 0 {
+		t.Error("queue-wait histogram saw no observations")
 	}
 	if errs := telemetry.Lint(out); len(errs) != 0 {
 		t.Errorf("scan exposition fails lint: %v", errs)

@@ -22,7 +22,8 @@ import (
 // events under real batch load with rotation forced, then the event log is
 // replayed the way cmd/sigrec-analyze does — and the replay's recovery,
 // error, truncation, function, and per-rule totals must equal the
-// /metrics counter deltas exactly. At sample-rate 1 the durable log is a
+// /metrics counter deltas exactly, as must every bucket of the recovery
+// and phase latency histograms. At sample-rate 1 the durable log is a
 // lossless account of the pipeline: anything the counters saw, the log
 // can reproduce offline.
 func TestAnalyticsE2E(t *testing.T) {
@@ -129,8 +130,44 @@ func TestAnalyticsE2E(t *testing.T) {
 			t.Errorf("rule %s fired %d in the log but %d on /metrics", rule, n, aRules[rule]-bRules[rule])
 		}
 	}
+	// Latency reconciles bucket by bucket: every event carries the same
+	// integer microseconds RecoverContext observed into the recovery and
+	// phase histograms, so replaying the log into fresh histograms of the
+	// same layout must reproduce each bucket's /metrics delta exactly.
+	replay := telemetry.NewRegistry()
+	for _, e := range events {
+		replay.Histogram("sigrec_recover_duration_microseconds").Observe(uint64(e.DurUS))
+		if e.Cache == "hit" || e.CodeBytes == 0 {
+			continue // answered before any phase was clocked
+		}
+		replay.Histogram("sigrec_phase_disasm_microseconds").Observe(uint64(e.DisasmUS))
+		replay.Histogram("sigrec_phase_dispatch_microseconds").Observe(uint64(e.DispatchUS))
+		replay.Histogram("sigrec_phase_explore_microseconds").Observe(uint64(e.ExploreUS))
+		replay.Histogram("sigrec_phase_infer_microseconds").Observe(uint64(e.InferUS))
+	}
+	replayed := replay.Snapshot().Histograms
+	for name, r := range replayed {
+		b, a := before.Histograms[name], after.Histograms[name]
+		for i := range r.Cumulative {
+			got, want := bucketCount(r, i), bucketCount(a, i)-bucketCount(b, i)
+			if got != want {
+				t.Errorf("%s bucket %d: log replay %d, /metrics delta %d", name, i, got, want)
+			}
+		}
+	}
+	if len(replayed) != 5 {
+		t.Errorf("replayed %d latency families, want 5", len(replayed))
+	}
 	// The log must carry real recoveries, not a vacuous pass.
 	if rep.Events < len(c.Entries)/2 || len(rep.RuleFires) == 0 {
 		t.Fatalf("log too thin: %d events, %d rules", rep.Events, len(rep.RuleFires))
 	}
+}
+
+// bucketCount returns bucket i's own (non-cumulative) count.
+func bucketCount(h telemetry.HistogramSnapshot, i int) uint64 {
+	if i == 0 {
+		return h.Cumulative[0]
+	}
+	return h.Cumulative[i] - h.Cumulative[i-1]
 }

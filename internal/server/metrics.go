@@ -13,7 +13,7 @@ import (
 var reg = core.Metrics()
 
 // endpointMetrics instruments one HTTP endpoint: request and outcome
-// counters, an E3-bucket latency histogram, and an inflight gauge.
+// counters, a latency histogram, and an inflight gauge.
 type endpointMetrics struct {
 	requests *telemetry.Counter
 	badInput *telemetry.Counter // 4xx: malformed bytecode or body
@@ -30,7 +30,7 @@ func newEndpointMetrics(name string) *endpointMetrics {
 		badInput: reg.Counter(prefix + "_bad_input_total"),
 		shed:     reg.Counter(prefix + "_shed_total"),
 		errors:   reg.Counter(prefix + "_errors_total"),
-		latency:  reg.Histogram(prefix+"_duration_microseconds", nil),
+		latency:  reg.Histogram(prefix + "_duration_microseconds"),
 		inflight: reg.Gauge(prefix + "_inflight"),
 	}
 }

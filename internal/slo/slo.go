@@ -57,54 +57,19 @@ func (s CounterSource) Sample() (good, total float64) {
 }
 
 // LatencySource derives a latency objective ("X% of requests complete
-// under ThresholdUS") from a CKMS summary. The summary tracks a few
-// target quantiles, not the full distribution, so the fraction of
-// requests under the threshold is estimated by piecewise-linear
-// interpolation of the inverse CDF through the tracked quantile points
-// (anchored at (0, 0); at or beyond the highest tracked quantile's value
-// the fraction clamps to that quantile — the estimate never claims
-// precision past p99). good = estimated fraction * cumulative count,
-// which stays monotone enough for window differencing in practice and is
-// exact in the two regimes that matter for alerting: everything-fast and
-// everything-slow.
+// under ThresholdUS") from a latency histogram: good is the histogram's
+// count at or below the threshold, total its count. Both are sums of
+// monotone bucket counters, so successive samples never decrease, and
+// good is exact when the threshold is a bucket bound (both binaries'
+// defaults are); between bounds it interpolates within one bucket.
 type LatencySource struct {
-	Summary     *telemetry.Summary
+	Histogram   *telemetry.Histogram
 	ThresholdUS float64
 }
 
 func (s LatencySource) Sample() (good, total float64) {
-	snap := s.Summary.Snapshot()
-	if snap.Count == 0 {
-		return 0, 0
-	}
-	return fracBelow(snap, s.ThresholdUS) * float64(snap.Count), float64(snap.Count)
-}
-
-// fracBelow estimates P(X <= t) from a summary snapshot's tracked
-// quantile points.
-func fracBelow(snap telemetry.SummarySnapshot, t float64) float64 {
-	qs := snap.Quantiles
-	if len(qs) == 0 {
-		return 0
-	}
-	// Anchor the CDF at (value 0, fraction 0) and walk the tracked
-	// points in quantile order (they are sorted by construction).
-	prevQ, prevV := 0.0, 0.0
-	for _, p := range qs {
-		if t < p.V {
-			if p.V <= prevV {
-				return prevQ
-			}
-			return prevQ + (p.Q-prevQ)*(t-prevV)/(p.V-prevV)
-		}
-		prevQ, prevV = p.Q, p.V
-	}
-	if t >= prevV && prevQ < 1 {
-		// Past the highest tracked point: grant the full target only when
-		// the threshold clears it outright.
-		return 1
-	}
-	return prevQ
+	snap := s.Histogram.Snapshot()
+	return snap.CountAtOrBelow(s.ThresholdUS), float64(snap.Count)
 }
 
 // Objective is one declarative SLO.

@@ -164,35 +164,53 @@ func TestSlowWindowTickets(t *testing.T) {
 	}
 }
 
+// TestLatencySource feeds a fast run and then a slow burst into the
+// histogram-backed source: good must never decrease (the SLO contract the
+// window differencing relies on), and the window over the burst must read
+// every slow request as bad, no more and no less. A threshold on a bucket
+// bound counts exactly.
 func TestLatencySource(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	sum := reg.Summary("lat_us", nil)
-	// 100 observations spread uniformly 10..1000us, so the tracked
-	// quantile points bracket any mid-range threshold tightly.
-	for i := uint64(1); i <= 100; i++ {
-		sum.Observe(i * 10)
+	h := reg.Histogram("lat_us")
+	src := LatencySource{Histogram: h, ThresholdUS: 10_000}
+	clock := &fakeClock{t: time.Unix(1700000000, 0)}
+	const interval = 10 * time.Second
+	ev := New(Config{
+		Objectives: []Objective{{Name: "latency", Target: 0.99, Source: src}},
+		Interval:   interval,
+		Registry:   reg,
+		Now:        clock.Now,
+	})
+	for i := 0; i < 10_000; i++ {
+		h.Observe(100)
 	}
-	src := LatencySource{Summary: sum, ThresholdUS: 500}
-	good, totalN := src.Sample()
-	if totalN != 100 {
-		t.Fatalf("total = %v, want 100", totalN)
+	clock.Advance(interval)
+	ev.Tick()
+	for i := 0; i < 200; i++ {
+		h.Observe(50_000)
 	}
-	frac := good / totalN
-	// True fraction under 500us is 0.5; the p50 tracked point pins it.
-	if frac < 0.4 || frac > 0.6 {
-		t.Errorf("frac below threshold = %v, want ~0.5", frac)
+	clock.Advance(interval)
+	ev.Tick()
+	ring := ev.objs[0].ring
+	if ring[0].good != 10_000 || ring[0].total != 10_000 {
+		t.Fatalf("after the fast run: good/total = %v/%v, want 10000/10000", ring[0].good, ring[0].total)
 	}
-	// Threshold above every observation → everything is good.
-	fast := LatencySource{Summary: sum, ThresholdUS: 1e9}
-	good, totalN = fast.Sample()
-	if good != totalN {
-		t.Errorf("threshold past max: good = %v, total = %v", good, totalN)
+	if ring[1].good != 10_000 || ring[1].total != 10_200 {
+		t.Fatalf("after the slow burst: good/total = %v/%v, want 10000/10200", ring[1].good, ring[1].total)
 	}
-	// Threshold below every observation → nothing is good.
-	slow := LatencySource{Summary: sum, ThresholdUS: 1}
-	good, _ = slow.Sample()
-	if frac := good / totalN; frac > 0.01 {
-		t.Errorf("threshold below min: frac = %v, want ~0", frac)
+	if bad, ok := ev.objs[0].rateOver(clock.Now(), interval); !ok || bad != 1 {
+		t.Fatalf("bad fraction over the burst = %v (ok %v), want exactly 1", bad, ok)
+	}
+
+	// Exact at a bucket bound, inclusive: an observation equal to the
+	// threshold is good, one microsecond past it is bad.
+	edge := reg.Histogram("edge_us")
+	edge.Observe(100_000)
+	edge.Observe(100_000)
+	edge.Observe(100_001)
+	good, total := LatencySource{Histogram: edge, ThresholdUS: 100_000}.Sample()
+	if good != 2 || total != 3 {
+		t.Fatalf("at the bound: good/total = %v/%v, want 2/3", good, total)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestLintRegistryOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain_total").Add(4)
 	r.Gauge("depth").Set(-2)
-	r.Histogram("lat_us", []uint64{100, 1000}).Observe(50)
+	r.Histogram("lat_us").Observe(50)
 	v := r.CounterVec("rules_total", "rule")
 	for _, rule := range []string{"R1", "R11", "R2", "R31"} {
 		v.With(rule).Inc()
@@ -89,5 +89,31 @@ func TestLintRegistryOutput(t *testing.T) {
 	out := r.Snapshot().String()
 	if errs := lintErrs(t, out); len(errs) != 0 {
 		t.Fatalf("registry output fails lint: %v\n%s", errs, out)
+	}
+}
+
+// TestLintSummaryViolations checks the linter rejects malformed summary
+// and exemplar shapes. (The registry exposes no summaries; the linter
+// still speaks the full text format for expositions it did not render.)
+func TestLintSummaryViolations(t *testing.T) {
+	cases := map[string]string{
+		"missing quantile label": "# TYPE s summary\ns 5\ns_sum 5\ns_count 1\n",
+		"quantile out of range":  "# TYPE s summary\ns{quantile=\"1.5\"} 5\ns_sum 5\ns_count 1\n",
+		"missing count":          "# TYPE s summary\ns{quantile=\"0.5\"} 5\ns_sum 5\n",
+		"exemplar on counter":    "# TYPE c counter\nc 5 # {request_id=\"x\"} 5\n",
+		"malformed exemplar": "# TYPE h histogram\nh_bucket{le=\"1\"} 1 # nope\n" +
+			"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+		"exemplar bad value": "# TYPE h histogram\nh_bucket{le=\"1\"} 1 # {request_id=\"x\"} zz\n" +
+			"h_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+	}
+	for name, exp := range cases {
+		if errs := Lint(exp); len(errs) == 0 {
+			t.Errorf("%s: lint accepted malformed exposition:\n%s", name, exp)
+		}
+	}
+	good := "# TYPE h histogram\nh_bucket{le=\"1\"} 1 # {request_id=\"x\"} 0.5\n" +
+		"h_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n"
+	if errs := Lint(good); len(errs) != 0 {
+		t.Errorf("lint rejected well-formed exemplar: %v", errs)
 	}
 }

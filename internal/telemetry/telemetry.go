@@ -5,9 +5,13 @@
 // taken only on first metric registration), so instruments can sit on the
 // TASE hot path without measurable overhead.
 //
-// Histogram buckets are microsecond upper bounds chosen to match the E3
-// time-distribution buckets of the paper's Fig. 17 (<1ms, 1-10ms,
-// 10-100ms, >=100ms), so the served metrics line up with the evaluation.
+// Every histogram shares one microsecond bucket layout (LatencyBuckets)
+// that contains the E3 time-distribution bounds of the paper's Fig. 17
+// (<1ms, 1-10ms, 10-100ms, >=100ms), so the served metrics line up with
+// the evaluation, and histograms from different processes can be summed
+// bucket by bucket. Quantiles and threshold counts are read off the
+// buckets (HistogramSnapshot.Quantile, CountAtOrBelow); there is no
+// second latency representation.
 package telemetry
 
 import (
@@ -22,10 +26,25 @@ import (
 	"time"
 )
 
-// E3Buckets is the default histogram bucket layout: upper bounds in
-// microseconds mirroring the paper's Fig. 17 recovery-time buckets. The
-// implicit final bucket is +Inf.
-var E3Buckets = []uint64{1_000, 10_000, 100_000}
+// latencyBuckets is the bucket layout of every histogram: upper bounds in
+// microseconds, log-spaced 1-2-5 per decade from 10µs to 10s, with an
+// implicit final +Inf bucket. It contains the paper's Fig. 17 bounds
+// (1ms, 10ms, 100ms) and the default latency-SLO thresholds of sigrecd
+// (100ms) and sigrec-scan (500ms), so those readings are exact bucket
+// counts rather than interpolations. An array, so no caller can change
+// it: LatencyBuckets and every snapshot hand out copies.
+var latencyBuckets = [...]uint64{
+	10, 20, 50,
+	100, 200, 500,
+	1_000, 2_000, 5_000,
+	10_000, 20_000, 50_000,
+	100_000, 200_000, 500_000,
+	1_000_000, 2_000_000, 5_000_000,
+	10_000_000,
+}
+
+// LatencyBuckets returns a copy of the shared bucket layout.
+func LatencyBuckets() []uint64 { return append([]uint64(nil), latencyBuckets[:]...) }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -170,45 +189,43 @@ type Exemplar struct {
 	Value uint64
 }
 
-// Histogram is a fixed-bucket histogram of microsecond observations. The
-// per-bucket counts are stored non-cumulatively and cumulated at snapshot
-// time, which keeps Observe to a single atomic add per call.
+// Histogram is a LatencyBuckets histogram of microsecond observations.
+// The per-bucket counts are stored non-cumulatively and cumulated at
+// snapshot time, which keeps Observe to two atomic adds per call.
 type Histogram struct {
-	bounds []uint64 // sorted upper bounds, microseconds
 	counts []atomic.Uint64
 	sum    atomic.Uint64
-	count  atomic.Uint64
 	// exemplars holds the most recent identified observation per bucket
 	// (pointer swap on write, nil when the bucket never saw one).
 	exemplars []atomic.Pointer[Exemplar]
 }
 
-func newHistogram(bounds []uint64) *Histogram {
-	b := append([]uint64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+func newHistogram() *Histogram {
 	return &Histogram{
-		bounds:    b,
-		counts:    make([]atomic.Uint64, len(b)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(b)+1),
+		counts:    make([]atomic.Uint64, len(latencyBuckets)+1),
+		exemplars: make([]atomic.Pointer[Exemplar], len(latencyBuckets)+1),
 	}
+}
+
+// bucketOf returns the index of the bucket holding us (len(latencyBuckets)
+// is the +Inf bucket).
+func bucketOf(us uint64) int {
+	return sort.Search(len(latencyBuckets), func(i int) bool { return us <= latencyBuckets[i] })
 }
 
 // Observe records one microsecond value.
 func (h *Histogram) Observe(us uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return us <= h.bounds[i] })
-	h.counts[i].Add(1)
+	h.counts[bucketOf(us)].Add(1)
 	h.sum.Add(us)
-	h.count.Add(1)
 }
 
 // ObserveExemplar is Observe plus an exemplar: the request id is retained
 // as the bucket's most recent exemplar (one pointer store; empty ids
 // degrade to a plain Observe).
 func (h *Histogram) ObserveExemplar(us uint64, requestID string) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return us <= h.bounds[i] })
+	i := bucketOf(us)
 	h.counts[i].Add(1)
 	h.sum.Add(us)
-	h.count.Add(1)
 	if requestID != "" {
 		h.exemplars[i].Store(&Exemplar{ID: requestID, Value: us})
 	}
@@ -222,13 +239,29 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d.Microseconds()))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Snapshot copies the histogram's current state. Count is the sum of the
+// bucket counts read, so the snapshot is self-consistent (Cumulative ends
+// at Count) even under concurrent writers.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{
+		Bounds:     LatencyBuckets(),
+		Cumulative: make([]uint64, len(h.counts)),
+		Sum:        h.sum.Load(),
+		Exemplars:  make([]*Exemplar, len(h.counts)),
+	}
+	for i := range h.counts {
+		hs.Count += h.counts[i].Load()
+		hs.Cumulative[i] = hs.Count
+		hs.Exemplars[i] = h.exemplars[i].Load()
+	}
+	return hs
+}
 
 // HistogramSnapshot is the point-in-time state of a histogram.
 type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds in microseconds; the final
-	// implicit bucket is +Inf.
+	// Bounds are the bucket upper bounds in microseconds (a copy of
+	// LatencyBuckets for registry histograms); the final implicit bucket
+	// is +Inf.
 	Bounds []uint64
 	// Cumulative holds one entry per bound plus the +Inf bucket; entry i
 	// counts observations <= Bounds[i] (monotone non-decreasing, last
@@ -241,6 +274,58 @@ type HistogramSnapshot struct {
 	// Exemplars holds the most recent identified observation per bucket
 	// (parallel to Cumulative; nil entries mean no exemplar yet).
 	Exemplars []*Exemplar
+}
+
+// CountAtOrBelow returns how many observations were <= us. It is exact
+// when us is a bucket bound; between bounds it interpolates linearly
+// within the one straddling bucket, so the error is at most that bucket's
+// count. Past the last finite bound it counts only what the bounds vouch
+// for. The result is a fixed-weight sum of cumulative bucket counts, so
+// successive snapshots of one histogram never report a smaller value.
+func (h HistogramSnapshot) CountAtOrBelow(us float64) float64 {
+	i := sort.Search(len(h.Bounds), func(i int) bool { return us <= float64(h.Bounds[i]) })
+	if i == len(h.Bounds) {
+		if i == 0 {
+			return 0
+		}
+		return float64(h.Cumulative[i-1])
+	}
+	lo, below := h.lowerEdge(i)
+	if us <= lo {
+		return below
+	}
+	hi := float64(h.Bounds[i])
+	return below + (float64(h.Cumulative[i])-below)*(us-lo)/(hi-lo)
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) interpolated linearly
+// within the bucket holding rank q*Count, so the estimate always lies in
+// the bucket that holds the true quantile. A quantile in the +Inf bucket
+// reports the highest finite bound; an empty histogram reports 0.
+func (h HistogramSnapshot) Quantile(q float64) float64 {
+	if h.Count == 0 || len(h.Bounds) == 0 {
+		return 0
+	}
+	rank := q * float64(h.Count)
+	i := sort.Search(len(h.Cumulative), func(i int) bool { return float64(h.Cumulative[i]) >= rank })
+	if i >= len(h.Bounds) {
+		return float64(h.Bounds[len(h.Bounds)-1])
+	}
+	lo, below := h.lowerEdge(i)
+	if rank <= below {
+		return lo
+	}
+	hi := float64(h.Bounds[i])
+	return lo + (hi-lo)*(rank-below)/(float64(h.Cumulative[i])-below)
+}
+
+// lowerEdge returns bucket i's lower bound and the cumulative count below
+// it (0, 0 for the first bucket).
+func (h HistogramSnapshot) lowerEdge(i int) (lo, below float64) {
+	if i == 0 {
+		return 0, 0
+	}
+	return float64(h.Bounds[i-1]), float64(h.Cumulative[i-1])
 }
 
 // LabeledCounterSnapshot is the point-in-time state of a CounterVec: the
@@ -270,7 +355,6 @@ type Snapshot struct {
 	Gauges             map[string]int64
 	FloatGauges        map[string]float64
 	Histograms         map[string]HistogramSnapshot
-	Summaries          map[string]SummarySnapshot
 	LabeledCounters    map[string]LabeledCounterSnapshot
 	LabeledGauges      map[string]LabeledGaugeSnapshot
 	LabeledFloatGauges map[string]LabeledFloatGaugeSnapshot
@@ -293,7 +377,6 @@ type Registry struct {
 	gauges         map[string]*Gauge
 	floatGauges    map[string]*FloatGauge
 	histograms     map[string]*Histogram
-	summaries      map[string]*Summary
 	counterVecs    map[string]*CounterVec
 	gaugeVecs      map[string]*GaugeVec
 	floatGaugeVecs map[string]*FloatGaugeVec
@@ -313,7 +396,6 @@ func NewRegistry() *Registry {
 		gauges:         make(map[string]*Gauge),
 		floatGauges:    make(map[string]*FloatGauge),
 		histograms:     make(map[string]*Histogram),
-		summaries:      make(map[string]*Summary),
 		counterVecs:    make(map[string]*CounterVec),
 		gaugeVecs:      make(map[string]*GaugeVec),
 		floatGaugeVecs: make(map[string]*FloatGaugeVec),
@@ -384,45 +466,22 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// microsecond bucket bounds on first use (nil selects E3Buckets). Bounds
-// passed on later calls for the same name are ignored.
-func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
+// Histogram returns the named LatencyBuckets histogram, creating it on
+// first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h, ok := r.histograms[name]
 	r.mu.RUnlock()
 	if ok {
 		return h
 	}
-	if bounds == nil {
-		bounds = E3Buckets
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok = r.histograms[name]; !ok {
-		h = newHistogram(bounds)
+		h = newHistogram()
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Summary returns the named streaming-quantile summary, creating it with
-// the given objectives on first use (nil selects DefaultObjectives;
-// objectives passed on later calls for the same name are ignored).
-func (r *Registry) Summary(name string, objectives []Quantile) *Summary {
-	r.mu.RLock()
-	s, ok := r.summaries[name]
-	r.mu.RUnlock()
-	if ok {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok = r.summaries[name]; !ok {
-		s = NewSummary(objectives)
-		r.summaries[name] = s
-	}
-	return s
 }
 
 // CounterVec returns the named one-label counter family, creating it with
@@ -547,16 +606,12 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:             make(map[string]int64, len(r.gauges)),
 		FloatGauges:        make(map[string]float64, len(r.floatGauges)),
 		Histograms:         make(map[string]HistogramSnapshot, len(r.histograms)),
-		Summaries:          make(map[string]SummarySnapshot, len(r.summaries)),
 		LabeledCounters:    make(map[string]LabeledCounterSnapshot, len(r.counterVecs)),
 		LabeledGauges:      make(map[string]LabeledGaugeSnapshot, len(r.gaugeVecs)),
 		LabeledFloatGauges: make(map[string]LabeledFloatGaugeSnapshot, len(r.floatGaugeVecs)),
 		Infos:              make(map[string]string, len(r.infos)),
 		InfoLabels:         make(map[string]map[string]string, len(r.infoLabels)),
 		Help:               make(map[string]string, len(r.help)),
-	}
-	for name, sum := range r.summaries {
-		s.Summaries[name] = sum.snapshot()
 	}
 	for name, v := range r.counterVecs {
 		v.mu.RLock()
@@ -604,20 +659,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.FloatGauges[name] = g.Load()
 	}
 	for name, h := range r.histograms {
-		hs := HistogramSnapshot{
-			Bounds:     append([]uint64(nil), h.bounds...),
-			Cumulative: make([]uint64, len(h.counts)),
-			Sum:        h.sum.Load(),
-			Count:      h.count.Load(),
-			Exemplars:  make([]*Exemplar, len(h.counts)),
-		}
-		var cum uint64
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			hs.Cumulative[i] = cum
-			hs.Exemplars[i] = h.exemplars[i].Load()
-		}
-		s.Histograms[name] = hs
+		s.Histograms[name] = h.Snapshot()
 	}
 	return s
 }
@@ -631,8 +673,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 // sorted by metric name, an optional "# HELP" then one "# TYPE" line per
 // metric, histograms as cumulative le="..." buckets plus _sum and _count
 // (buckets carry an OpenMetrics-style `# {request_id="..."} v` exemplar
-// when one was recorded), summaries as one quantile="..." series per
-// objective plus _sum and _count, labeled counter families as one series
+// when one was recorded), labeled counter families as one series
 // per label value sorted by value, info metrics as constant-1 gauges.
 // Label values are escaped per the text format, so the output passes the
 // strict Lint grammar.
@@ -640,7 +681,7 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	names := make([]string, 0,
 		len(s.Counters)+len(s.Gauges)+len(s.FloatGauges)+len(s.Histograms)+
-			len(s.Summaries)+len(s.LabeledCounters)+len(s.LabeledGauges)+
+			len(s.LabeledCounters)+len(s.LabeledGauges)+
 			len(s.LabeledFloatGauges)+len(s.Infos))
 	for n := range s.Counters {
 		names = append(names, n)
@@ -655,9 +696,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		names = append(names, n)
 	}
 	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	for n := range s.Summaries {
 		names = append(names, n)
 	}
 	for n := range s.LabeledCounters {
@@ -680,11 +718,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 			continue
 		}
 		if lfg, ok := s.LabeledFloatGauges[n]; ok && len(lfg.Values) == 0 {
-			continue
-		}
-		// Likewise an unobserved summary: its quantile values would be
-		// meaningless, so the family appears once data exists.
-		if su, ok := s.Summaries[n]; ok && su.Count == 0 {
 			continue
 		}
 		if help, ok := s.Help[n]; ok && help != "" {
@@ -733,16 +766,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 			}
 		case hasKey(s.Infos, n):
 			fmt.Fprintf(&b, "# TYPE %s gauge\n%s%s 1\n", n, n, s.Infos[n])
-		case hasKey(s.Summaries, n):
-			su := s.Summaries[n]
-			fmt.Fprintf(&b, "# TYPE %s summary\n", n)
-			for _, q := range su.Quantiles {
-				fmt.Fprintf(&b, "%s{quantile=\"%s\"} %s\n", n,
-					strconv.FormatFloat(q.Q, 'g', -1, 64),
-					strconv.FormatFloat(q.V, 'f', -1, 64))
-			}
-			fmt.Fprintf(&b, "%s_sum %s\n", n, strconv.FormatFloat(su.Sum, 'f', -1, 64))
-			fmt.Fprintf(&b, "%s_count %d\n", n, su.Count)
 		default:
 			h := s.Histograms[n]
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", n)

@@ -62,7 +62,7 @@ type BatchItem = core.BatchItem
 
 // MetricsSnapshot is a point-in-time copy of the pipeline telemetry:
 // counters (recoveries, truncations, TASE paths/steps/events, cache
-// hits/misses), gauges, and the E3-bucket recovery-latency histogram.
+// hits/misses), gauges, and the recovery and phase latency histograms.
 type MetricsSnapshot = telemetry.Snapshot
 
 // Recover runs SigRec on runtime bytecode.
