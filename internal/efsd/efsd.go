@@ -9,6 +9,7 @@ package efsd
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 
 	"sigrec/internal/abi"
@@ -19,6 +20,9 @@ import (
 type DB struct {
 	mu      sync.RWMutex
 	entries map[abi.Selector]string
+	// gen counts the Add/AddRecovered calls that created or changed an
+	// entry; see Generation.
+	gen uint64
 }
 
 // New returns an empty database.
@@ -28,9 +32,13 @@ func New() *DB {
 
 // Add registers a signature under its selector.
 func (db *DB) Add(sig abi.Signature) {
+	sel, canonical := sig.Selector(), sig.Canonical()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.entries[sig.Selector()] = sig.Canonical()
+	if old, ok := db.entries[sel]; !ok || old != canonical {
+		db.entries[sel] = canonical
+		db.gen++
+	}
 }
 
 // AddCanonical registers a pre-rendered canonical signature string.
@@ -55,10 +63,28 @@ const RecoveredName = "recovered"
 // RecoveredFunction.TypeList format, e.g. "(uint256,bytes)"). Unlike Add,
 // the selector is taken as given rather than derived by hashing, because a
 // placeholder-named signature never hashes to the real selector.
+//
+// Registering the type list a selector already has is a no-op that
+// allocates nothing: a scan does that for every deployment of a template
+// it has already published.
 func (db *DB) AddRecovered(sel abi.Selector, typeList string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if old, ok := db.entries[sel]; ok && strings.HasPrefix(old, RecoveredName) && old[len(RecoveredName):] == typeList {
+		return
+	}
 	db.entries[sel] = RecoveredName + typeList
+	db.gen++
+}
+
+// Generation reports how many Add/AddRecovered calls have created or
+// changed an entry. Two equal readings bracket a span in which the
+// database did not change, so a copy saved at the first is still
+// current at the second.
+func (db *DB) Generation() uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.gen
 }
 
 // Lookup returns the canonical signature for a selector.

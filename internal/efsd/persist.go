@@ -1,10 +1,13 @@
 package efsd
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"sigrec/internal/abi"
 )
@@ -13,27 +16,72 @@ import (
 // signature, matching the export format of public signature databases.
 type fileFormat map[string]string
 
-// Save writes the database as JSON (selectors sorted for stable diffs).
+// Save writes the database as an indented JSON object, selectors sorted
+// for stable diffs. The bytes are exactly what encoding/json's Encoder
+// with SetIndent("", "  ") writes for the equivalent map[string]string:
+// two-space indent, HTML escaping, a trailing newline, and "{}\n" for an
+// empty database. The entries are copied under the read lock and encoded
+// outside it, without reflection, into one buffer written by one Write.
 func (db *DB) Save(w io.Writer) error {
 	db.mu.RLock()
-	out := make(fileFormat, len(db.entries))
+	// order packs selector<<32 | index into sigs: sorting the integers
+	// sorts the entries by selector, the order of their "0x%08x" keys.
+	order := make([]uint64, 0, len(db.entries))
+	sigs := make([]string, 0, len(db.entries))
+	size := len("{\n}\n")
 	for sel, sig := range db.entries {
-		out[sel.Hex()] = sig
+		order = append(order, uint64(binary.BigEndian.Uint32(sel[:]))<<32|uint64(len(sigs)))
+		sigs = append(sigs, sig)
+		size += len(`  "0x12345678": "",`+"\n") + len(sig)
 	}
 	db.mu.RUnlock()
 
-	keys := make([]string, 0, len(out))
-	for k := range out {
-		keys = append(keys, k)
+	if len(order) == 0 {
+		_, err := io.WriteString(w, "{}\n")
+		return err
 	}
-	sort.Strings(keys)
-	ordered := make(map[string]string, len(out))
-	for _, k := range keys {
-		ordered[k] = out[k]
+	slices.Sort(order)
+	buf := make([]byte, 0, size)
+	buf = append(buf, "{\n"...)
+	var sel [4]byte
+	for i, k := range order {
+		if i > 0 {
+			buf = append(buf, ",\n"...)
+		}
+		binary.BigEndian.PutUint32(sel[:], uint32(k>>32))
+		buf = append(buf, `  "0x`...)
+		buf = hex.AppendEncode(buf, sel[:])
+		buf = append(buf, `": `...)
+		buf = appendJSONString(buf, sigs[uint32(k)])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ordered)
+	buf = append(buf, "\n}\n"...)
+	_, err := w.Write(buf)
+	return err
+}
+
+// plainJSON marks the bytes encoding/json copies into a string literal
+// verbatim: printable ASCII other than the quote, the backslash and the
+// HTML-escaped <, > and &.
+var plainJSON = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
+// appendJSONString appends s as the JSON string literal encoding/json
+// writes for it: verbatim between quotes when every byte is plainJSON,
+// through json.Marshal otherwise.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainJSON[s[i]] {
+			q, _ := json.Marshal(s) // marshaling a string cannot fail
+			return append(buf, q...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // Load reads a JSON database, validating every signature. Entries whose

@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,6 +141,56 @@ func TestWriterConcurrentEmit(t *testing.T) {
 	// Emit after Close must not panic and must return 0.
 	if seq := w.Emit(&Event{DurUS: 1}); seq != 0 {
 		t.Fatalf("Emit after Close returned seq %d", seq)
+	}
+}
+
+// TestWriterSeqAscendingUnderRace checks that concurrent Emit and EmitAux
+// calls land in the log in strictly ascending seq order: stamping the
+// sequence number and enqueueing must be one step, or a preempted emitter
+// writes its lower seq after a racing emitter's higher one.
+func TestWriterSeqAscendingUnderRace(t *testing.T) {
+	const goroutines, perG = 8, 2000
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	w, err := New(Config{Path: path, QueueSize: 2 * goroutines * perG})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				w.Emit(&Event{RequestID: fmt.Sprintf("g%d-%d", g, i), DurUS: int64(i + 1)})
+				if i%50 == 0 {
+					w.EmitAux("marker", map[string]int{"g": g, "i": i})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev uint64
+	lines := 0
+	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		var rec struct{ Seq uint64 }
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("line %d: %v", lines+1, err)
+		}
+		if rec.Seq <= prev {
+			t.Fatalf("line %d: seq %d not ascending (prev %d)", lines+1, rec.Seq, prev)
+		}
+		prev = rec.Seq
+		lines++
+	}
+	if want := goroutines * (perG + perG/50); lines != want {
+		t.Fatalf("log holds %d records, want %d", lines, want)
 	}
 }
 

@@ -61,8 +61,12 @@ type Writer struct {
 	closed bool
 	ch     chan *Event
 
-	seq  atomic.Uint64
-	done chan struct{}
+	// sendMu makes stamping Seq and the channel send one step, so events
+	// reach the channel — and the log — in ascending Seq order even when
+	// emitters race.
+	sendMu sync.Mutex
+	seq    uint64
+	done   chan struct{}
 
 	// tail is a ring of the most recent encoded lines (without trailing
 	// newline), guarded by tailMu; tailNext is the next write slot.
@@ -194,22 +198,7 @@ func (w *Writer) Emit(ev *Event) uint64 {
 		w.mSampledOut.Inc()
 		return 0
 	}
-	ev.Seq = w.seq.Add(1)
-	ev.TS = time.Now().UnixMicro()
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.closed {
-		w.mDropped.Inc()
-		return 0
-	}
-	select {
-	case w.ch <- ev:
-		w.mQueueDepth.Set(int64(len(w.ch)))
-		return ev.Seq
-	default:
-		w.mDropped.Inc()
-		return 0
-	}
+	return w.enqueue(ev)
 }
 
 // EmitAux appends an auxiliary record — a non-recovery line such as the
@@ -225,17 +214,28 @@ func (w *Writer) EmitAux(kind string, v any) uint64 {
 		w.mErrors.Inc()
 		return 0
 	}
-	ev := &Event{Kind: kind, auxData: data}
-	ev.Seq = w.seq.Add(1)
-	ev.TS = time.Now().UnixMicro()
+	return w.enqueue(&Event{Kind: kind, auxData: data})
+}
+
+// enqueue stamps ev with the next sequence number and the time and offers
+// it to the writer goroutine without blocking. It returns the sequence
+// number, or 0 when the writer is closed or the queue is full (the event
+// is dropped and counted).
+func (w *Writer) enqueue(ev *Event) uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if w.closed {
 		w.mDropped.Inc()
 		return 0
 	}
+	w.sendMu.Lock()
+	defer w.sendMu.Unlock()
+	w.seq++
+	ev.Seq = w.seq
+	ev.TS = time.Now().UnixMicro()
 	select {
 	case w.ch <- ev:
+		w.mQueueDepth.Set(int64(len(w.ch)))
 		return ev.Seq
 	default:
 		w.mDropped.Inc()

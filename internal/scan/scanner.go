@@ -48,7 +48,7 @@ type Config struct {
 	Resume *Cursor
 	// EFSDPath, when set, is an EFSD JSON database the scanner publishes
 	// recovered signatures into: loaded (if present) at startup, written
-	// atomically at every checkpoint.
+	// atomically at every checkpoint that follows a change to it.
 	EFSDPath string
 	// Live switches from backfill (scan [start, EndBlock], then stop) to
 	// head-following (poll for new blocks forever, bounded lag).
@@ -96,6 +96,12 @@ type Scanner struct {
 	// metering (the cache/store do the actual dedupe).
 	seenMu sync.Mutex
 	seen   map[[32]byte]struct{}
+
+	// exportedGen is the EFSD generation the file at EFSDPath holds —
+	// the one loaded at startup or the last export wrote — valid once
+	// exported is set. Tracker goroutine only after New.
+	exported    bool
+	exportedGen uint64
 }
 
 // New validates cfg and builds a Scanner.
@@ -136,7 +142,13 @@ func New(cfg Config) (*Scanner, error) {
 			if lerr != nil {
 				return nil, fmt.Errorf("scan: load EFSD: %w", lerr)
 			}
-			s.db = db
+			// The file on disk holds every loaded entry: until one
+			// changes, there is nothing to export. Its rename may be
+			// one a killed run never made durable, so sync it now.
+			if err := syncDir(filepath.Dir(cfg.EFSDPath)); err != nil {
+				return nil, fmt.Errorf("scan: load EFSD: %w", err)
+			}
+			s.db, s.exported, s.exportedGen = db, true, db.Generation()
 		} else if !os.IsNotExist(err) {
 			return nil, fmt.Errorf("scan: load EFSD: %w", err)
 		}
@@ -284,9 +296,10 @@ type blockState struct {
 // tracker turns out-of-order worker completions into a monotone durable
 // cursor: the contiguous prefix of completed deployments across blocks.
 // Every CheckpointEvery completions — and once more on drain — it makes
-// the event log durable (Sync), exports the EFSD, and atomically saves
-// the cursor, in that order: the checkpoint never claims more than the
-// log and the EFSD can prove.
+// the event log durable (Sync), exports the EFSD (a no-op when it has not
+// changed since the last export), and atomically saves the cursor, in
+// that order: the checkpoint never claims more than the log and the EFSD
+// can prove.
 func (s *Scanner) tracker(track <-chan trackMsg) error {
 	var (
 		queue     []*blockState
@@ -364,9 +377,19 @@ func (s *Scanner) saveProgress(c Cursor) error {
 	return nil
 }
 
-// exportEFSD atomically replaces the EFSD JSON with the current database.
+// exportEFSD atomically and durably replaces the EFSD JSON with the
+// current database: temp write + fsync, rename, directory fsync. Without
+// the directory fsync a power loss could undo the rename after the cursor
+// save that follows had moved past the deployments it published. When
+// the database has not changed since it was loaded or last exported, the
+// file on disk already holds every entry and the rewrite is skipped.
 func (s *Scanner) exportEFSD() error {
-	f, err := os.CreateTemp(filepath.Dir(s.cfg.EFSDPath), ".efsd-*")
+	gen := s.db.Generation()
+	if s.exported && gen == s.exportedGen {
+		return nil
+	}
+	dir := filepath.Dir(s.cfg.EFSDPath)
+	f, err := os.CreateTemp(dir, ".efsd-*")
 	if err != nil {
 		return fmt.Errorf("scan: efsd export: %w", err)
 	}
@@ -387,7 +410,26 @@ func (s *Scanner) exportEFSD() error {
 	if err := os.Rename(f.Name(), s.cfg.EFSDPath); err != nil {
 		return fmt.Errorf("scan: efsd export: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("scan: efsd export: %w", err)
+	}
+	// gen was read before Save copied the entries, so the file holds at
+	// least generation gen; a later change moves the generation past it.
+	s.exported, s.exportedGen = true, gen
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // process runs one deployment through resolve -> dedupe -> recover ->

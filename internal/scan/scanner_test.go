@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sigrec/internal/abi"
 	"sigrec/internal/chain"
 	"sigrec/internal/core"
 	"sigrec/internal/corpus"
@@ -302,5 +304,106 @@ func TestScannerLive(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("live run: %v", err)
+	}
+}
+
+// A checkpoint after which the EFSD has not changed keeps the published
+// file as it is: a resumed backfill over deployments whose signatures are
+// all published already never replaces efsd.json, and the file still
+// equals the database at the end.
+func TestScannerSkipsUnchangedEFSDExport(t *testing.T) {
+	const blocks = 30
+	fx := newScanFixture(t, 21, blocks)
+	first := fx.scanner(t, func(c *Config) { c.EndBlock = 9 })
+	if err := first.Run(context.Background()); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	for _, tmpl := range fx.tmpls {
+		for _, sig := range tmpl.Functions {
+			if _, ok := first.EFSD().Lookup(sig.Selector()); !ok {
+				t.Fatalf("template selector %s not published by the first run", sig.Selector().Hex())
+			}
+		}
+	}
+	path := filepath.Join(fx.dir, "efsd.json")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, ok, err := ReadCheckpoint(filepath.Join(fx.dir, "checkpoint"))
+	if err != nil || !ok {
+		t.Fatalf("checkpoint after first run: ok=%v err=%v", ok, err)
+	}
+	fx.resume = &cur
+	second := fx.scanner(t, func(c *Config) { c.EndBlock = blocks - 1 })
+	gen := second.EFSD().Generation()
+	if err := second.Run(context.Background()); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if cur, _, _ := ReadCheckpoint(filepath.Join(fx.dir, "checkpoint")); cur != (Cursor{Block: blocks - 1, Tx: 3}) {
+		t.Fatalf("cursor %v after the second run", cur)
+	}
+	if g := second.EFSD().Generation(); g != gen {
+		t.Fatalf("the second run changed the EFSD (generation %d -> %d); the fixture no longer tests the skip", gen, g)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("efsd.json was replaced although no checkpoint had anything new to publish")
+	}
+	var want bytes.Buffer
+	if err := second.EFSD().Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("efsd.json differs from the database (err %v)", err)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(fx.dir, ".efsd-*")); len(tmp) != 0 {
+		t.Fatalf("export left temp files %v", tmp)
+	}
+	assertEFSDAttribution(t, fx, blocks)
+}
+
+// Only a change to the database rewrites the EFSD: re-registering the
+// published type list does not, changing a selector's type list does.
+func TestScannerRewritesEFSDOnChange(t *testing.T) {
+	fx := newScanFixture(t, 21, 1)
+	s := fx.scanner(t, nil)
+	path := filepath.Join(fx.dir, "efsd.json")
+	checkpoint := func() os.FileInfo {
+		t.Helper()
+		if err := s.saveProgress(Cursor{}); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	sel := abi.Selector{0xde, 0xad, 0xbe, 0xef}
+	s.EFSD().AddRecovered(sel, "(uint256)")
+	first := checkpoint()
+	s.EFSD().AddRecovered(sel, "(uint256)")
+	if !os.SameFile(first, checkpoint()) {
+		t.Fatal("re-registering an identical type list rewrote efsd.json")
+	}
+	s.EFSD().AddRecovered(sel, "(uint8)")
+	if os.SameFile(first, checkpoint()) {
+		t.Fatal("a changed type list did not rewrite efsd.json")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	db, err := efsd.LoadTrusted(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := db.Lookup(sel); got != efsd.RecoveredName+"(uint8)" {
+		t.Fatalf("efsd.json holds %q for %s", got, sel.Hex())
 	}
 }
