@@ -131,8 +131,10 @@ bench-check:
 PGOFLAG ?=
 
 bench:
-	( $(GO) test $(PGOFLAG) -run '^$$' -bench 'BenchmarkE1Accuracy$$|BenchmarkE3TimeDistribution$$|BenchmarkE3Tracing|BenchmarkE3Events|BenchmarkE3OTLP|BenchmarkE3Parallel|BenchmarkTieredCacheWarmLookup$$' \
+	( $(GO) test $(PGOFLAG) -run '^$$' -bench 'BenchmarkE1Accuracy$$|BenchmarkE3TimeDistribution$$|BenchmarkE3Tracing|BenchmarkE3Events|BenchmarkE3OTLP|BenchmarkTieredCacheWarmLookup$$' \
 		-benchmem . ; \
+	  $(GO) test $(PGOFLAG) -run '^$$' -bench 'BenchmarkE3Parallel' \
+		-benchmem ./internal/core ; \
 	  $(GO) test $(PGOFLAG) -run '^$$' -bench 'BenchmarkServerThroughput$$' \
 		-benchmem ./internal/server ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRouterOverhead|BenchmarkRouterTracing' \
@@ -164,9 +166,10 @@ bench:
 # mean-over-count rather than the fastest run — machine drift during the
 # invocation hits both sides alike and cancels in the mean ratio, while
 # min-of-N is a lottery over which side caught the quietest window. For
-# the drift to hit both sides alike the runs alternate: five -count=1
-# invocations (Direct, Proxied, Direct, ...) rather than one -count=5,
-# which ran all five Direct runs before any Proxied one.
+# the drift to hit both sides alike the runs alternate over five rounds,
+# each side in its own `go test` process, and the side that runs first
+# flips every round (Direct then Proxied, then Proxied then Direct, ...),
+# so neither side always runs first in its process or in its round.
 # (4b) the RouterTracing A/B gates the router's span machinery the same
 # way the E3 pairs gate the shard's: allocs/op within 10% (the span tree
 # is a fixed handful of allocations next to a recovery's thousands) and
@@ -174,8 +177,9 @@ bench:
 # (5) fail when the warm disk lookup (TieredCache restart path) exceeds
 # 50us/op — an absolute ceiling: the whole point of the store is that a
 # warm hit costs microseconds, not a recovery. (6) on machines with >=4
-# cores, fail unless parallel selector exploration is at least 2x faster
-# than sequential over the multi-selector corpus (negative tolerance =
+# cores, fail unless the engine's automatic selector fan-out is at least
+# 2x faster than the sequential loop over the multi-selector corpus
+# (BenchmarkE3ParallelOn/Off in ./internal/core; negative tolerance =
 # demanded improvement); skipped below 4 cores, where the pool cannot
 # express itself. (7) fail when a warm chain rescan (80 deployments, all
 # served by dedupe against a populated store) exceeds 25ms/op — an
@@ -211,7 +215,12 @@ bench-gate:
 		-bench E3OTLPOn -metric mean_ns_per_op -tolerance 0.25
 	@rm -f bench_router.txt
 	for i in 1 2 3 4 5; do \
-		$(GO) test -run '^$$' -bench 'BenchmarkRouterOverhead|BenchmarkRouterTracing' \
+		if [ $$((i % 2)) -eq 1 ]; then order='Direct Proxied'; else order='Proxied Direct'; fi; \
+		for side in $$order; do \
+			$(GO) test -run '^$$' -bench "^BenchmarkRouterOverhead$$side\$$" \
+				-benchmem -benchtime 200x -count=1 ./internal/cluster >> bench_router.txt || exit 1; \
+		done; \
+		$(GO) test -run '^$$' -bench 'BenchmarkRouterTracing' \
 			-benchmem -benchtime 200x -count=1 ./internal/cluster >> bench_router.txt || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson -out bench_router.json < bench_router.txt
@@ -231,7 +240,7 @@ bench-gate:
 		-bench ScanThroughputWarm -metric ns_per_op -max 25000000
 	@if [ "$$(nproc)" -ge 4 ]; then \
 		$(GO) test -run '^$$' -bench 'BenchmarkE3Parallel' \
-			-benchmem -count=5 . | $(GO) run ./cmd/benchjson -out bench_par.json && \
+			-benchmem -count=5 ./internal/core | $(GO) run ./cmd/benchjson -out bench_par.json && \
 		$(GO) run ./cmd/benchjson -check -baseline bench_par.json \
 			-current bench_par.json -basebench E3ParallelOff \
 			-bench E3ParallelOn -metric mean_ns_per_op -tolerance -0.5; \

@@ -315,47 +315,6 @@ func BenchmarkE3EventsOn(b *testing.B) {
 	benchE3Events(b, w)
 }
 
-// benchE3Parallel recovers a set of 10-function contracts end to end with
-// a fixed selector-worker count. Off (workers=1) is the sequential
-// baseline; On (workers=0, auto up to GOMAXPROCS) fans the per-selector
-// TASE runs out across the pool. `make bench-gate` requires On to be at
-// least 2x faster than Off on machines with >=4 cores; on fewer cores the
-// pair still records the (absent) overhead of the pool itself.
-func benchE3Parallel(b *testing.B, workers int) {
-	synth, err := corpus.GenerateSynthesized(7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Entries repeat each contract's code once per function; keep the
-	// first 8 distinct 10-function contracts.
-	seen := make(map[string]bool)
-	var codes [][]byte
-	for _, e := range synth {
-		k := string(e.Code)
-		if !seen[k] {
-			seen[k] = true
-			codes = append(codes, e.Code)
-			if len(seen) == 8 {
-				break
-			}
-		}
-	}
-	opts := core.Options{SelectorWorkers: workers}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, code := range codes {
-			res, err := core.RecoverContext(context.Background(), code, opts)
-			if err != nil || len(res.Functions) == 0 {
-				b.Fatal("recovery failed")
-			}
-		}
-	}
-}
-
-func BenchmarkE3ParallelOff(b *testing.B) { benchE3Parallel(b, 1) }
-func BenchmarkE3ParallelOn(b *testing.B)  { benchE3Parallel(b, 0) }
-
 // BenchmarkTieredCacheWarmLookup measures the disk tier of the warm-start
 // path: a store populated with recovery results is consulted through a
 // TieredCache whose memory LRU is kept too small to absorb the key set,

@@ -18,19 +18,23 @@
 //
 // Routing policy, in order:
 //
-//   - Placement: the ring owner of keccak(bytecode), diverted to the ring
-//     successor when the owner is past the bounded-load limit
-//     (-load-factor times the mean inflight).
-//   - Circuit breaking: a shard that fails -breaker-failures times in a
-//     row is skipped for -breaker-cooldown, then probed with one request.
+//   - Placement: the ring owner of keccak(bytecode) on a 160-vnode ring,
+//     diverted to the ring successor when the owner is past the
+//     bounded-load limit (1.25 times the mean inflight).
+//   - Circuit breaking: a shard that fails 3 times in a row is skipped
+//     for 1s, then probed with one request. Shard health and p95 are
+//     polled every 500ms.
 //   - Hedging (-hedge): when the owner has not answered within its own
-//     scraped p95 latency (times -hedge-mult, clamped to [-hedge-min,
-//     -hedge-max]), the request is also sent to the next shard and the
+//     scraped p95 latency (clamped to [2ms, 500ms]; 500ms before the
+//     first scrape), the request is also sent to the next shard and the
 //     first answer wins.
 //   - Retry: transport errors and 502/503/504 move the request to the
 //     ring successor; 429 retries without a breaker strike; other
 //     statuses are relayed as-is (a deterministic failure will not
 //     improve on another shard).
+//   - Batches keep at most 4 upstream calls per shard in flight.
+//
+// These values are fixed in package cluster, not flags.
 //
 // The router holds no recovery state: kill it and start another and
 // nothing is lost. Every forwarded attempt carries a globally unique
@@ -72,27 +76,18 @@ func main() {
 
 func run() error {
 	var (
-		addr       = flag.String("addr", ":8400", "listen address")
-		shardSpec  = flag.String("shards", "", "comma-separated shard pool as id=url (required)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default; must match the shards' -vnodes)")
-		timeout    = flag.Duration("timeout", cluster.DefaultTimeout, "end-to-end deadline per routed request, across retries and hedges")
-		maxBody    = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
-		hedge      = flag.Bool("hedge", true, "hedge slow requests to the ring successor after the owner's p95-derived delay")
-		hedgeMult  = flag.Float64("hedge-mult", cluster.DefaultHedgeMultiplier, "hedge delay = shard p95 x this multiplier")
-		hedgeMin   = flag.Duration("hedge-min", cluster.DefaultHedgeMin, "lower clamp on the hedge delay")
-		hedgeMax   = flag.Duration("hedge-max", cluster.DefaultHedgeMax, "upper clamp on the hedge delay (also used before the first p95 scrape)")
-		brkFails   = flag.Int("breaker-failures", 3, "consecutive failures that open a shard's circuit breaker")
-		brkCool    = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker skips its shard before probing")
-		healthIntv = flag.Duration("health-interval", cluster.DefaultHealthInterval, "shard health/p95 poll period")
-		loadFactor = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load factor: divert from an owner loaded past this multiple of the mean")
-		batchConc  = flag.Int("batch-concurrency", 0, "max in-flight upstream calls per batch request (0 = 4 per shard)")
-		slowest    = flag.Int("trace-slowest", obs.DefaultSlowest, "routed requests retained in the router's flight recorder (0 = tracing off)")
-		otlpEP     = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL; router metrics and span trees are exported there (empty = export off)")
-		otlpIntv   = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: one metrics snapshot per tick")
-		svcName    = flag.String("service-name", "sigrec-router", "service.name resource attribute on every OTLP export")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		version    = flag.Bool("version", false, "print version and exit")
+		addr      = flag.String("addr", ":8400", "listen address")
+		shardSpec = flag.String("shards", "", "comma-separated shard pool as id=url (required)")
+		timeout   = flag.Duration("timeout", cluster.DefaultTimeout, "end-to-end deadline per routed request, across retries and hedges")
+		maxBody   = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
+		hedge     = flag.Bool("hedge", true, "hedge slow requests to the ring successor after the owner's p95-derived delay")
+		slowest   = flag.Int("trace-slowest", obs.DefaultSlowest, "routed requests retained in the router's flight recorder (0 = tracing off)")
+		otlpEP    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL; router metrics and span trees are exported there (empty = export off)")
+		otlpIntv  = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: one metrics snapshot per tick")
+		svcName   = flag.String("service-name", "sigrec-router", "service.name resource attribute on every OTLP export")
+		logFormat = flag.String("log-format", "text", "log output format: text or json")
+		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 
@@ -135,22 +130,13 @@ func run() error {
 	}
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Shards:           shards,
-		VNodes:           *vnodes,
-		Timeout:          *timeout,
-		MaxBodyBytes:     *maxBody,
-		Hedge:            *hedge,
-		HedgeMultiplier:  *hedgeMult,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
-		BreakerFailures:  *brkFails,
-		BreakerCooldown:  *brkCool,
-		HealthInterval:   *healthIntv,
-		LoadFactor:       *loadFactor,
-		BatchConcurrency: *batchConc,
-		Registry:         reg,
-		Tracer:           tracer,
-		Logger:           logger,
+		Shards:       shards,
+		Timeout:      *timeout,
+		MaxBodyBytes: *maxBody,
+		Hedge:        *hedge,
+		Registry:     reg,
+		Tracer:       tracer,
+		Logger:       logger,
 	})
 	if err != nil {
 		return err
@@ -172,15 +158,8 @@ func run() error {
 	logger.Info("sigrec-router listening",
 		"addr", *addr,
 		"shards", len(shards),
-		"vnodes", *vnodes,
 		"timeout", (*timeout).String(),
 		"hedge", *hedge,
-		"hedge_mult", *hedgeMult,
-		"hedge_min", (*hedgeMin).String(),
-		"hedge_max", (*hedgeMax).String(),
-		"breaker_failures", *brkFails,
-		"breaker_cooldown", (*brkCool).String(),
-		"load_factor", *loadFactor,
 		"tracing", tracer != nil,
 		"otlp_endpoint", *otlpEP,
 		"version", ver,

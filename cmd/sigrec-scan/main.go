@@ -91,7 +91,6 @@ func run() error {
 		budget  = flag.Int("budget", 0, "TASE step budget per exploration (0 = built-in default)")
 		paths   = flag.Int("maxpaths", 0, "explored-path cap per exploration (0 = built-in default)")
 		timeout = flag.Duration("timeout", 2*time.Second, "per-contract recovery deadline (0 = unbounded)")
-		selWork = flag.Int("selector-workers", 0, "parallel selector explorations per contract (0 = auto)")
 
 		eventMB   = flag.Int("event-log-max-mb", 64, "rotate the event log past this many MB per segment")
 		debugAddr = flag.String("debug-addr", "", "listen address for the scanner's operator surface: /metrics, /healthz, /debug/slowest, /debug/trace/{id}, /debug/slo, /debug/events, pprof (empty = disabled)")
@@ -231,10 +230,9 @@ func run() error {
 		QueueDepth:      *queue,
 		CheckpointEvery: *ckEvery,
 		Recover: core.Options{
-			StepBudget:      *budget,
-			MaxPaths:        *paths,
-			Deadline:        *timeout,
-			SelectorWorkers: *selWork,
+			StepBudget: *budget,
+			MaxPaths:   *paths,
+			Deadline:   *timeout,
 		},
 		Tracer: tracer,
 		Logger: logger,

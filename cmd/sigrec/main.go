@@ -49,7 +49,6 @@ func run() error {
 		jsonOut  = flag.Bool("json", false, "emit JSON instead of text")
 		timeout  = flag.Duration("timeout", 0, "per-contract wall-clock deadline (e.g. 100ms; 0 = unbounded); on expiry a partial result is printed, flagged truncated")
 		budget   = flag.Int("budget", 0, "TASE step budget per exploration (0 = built-in default)")
-		selWork  = flag.Int("selector-workers", 0, "parallel selector explorations (0 = auto up to GOMAXPROCS, 1 = sequential)")
 		storeDir = flag.String("store-dir", "", "persistent result-store directory: repeat runs over the same bytecode are served from disk (empty = disabled)")
 		stats    = flag.Bool("stats", false, "print the telemetry exposition (timings, path counts, rule hits) after the run")
 		trace    = flag.Bool("trace", false, "print the recovery's span tree (phase timings, per-selector exploration counters) to stderr")
@@ -61,10 +60,6 @@ func run() error {
 	if *version {
 		fmt.Println(obs.VersionString())
 		return nil
-	}
-
-	if err := validateFlags(*selWork); err != nil {
-		return usageError(err)
 	}
 
 	var db *efsd.DB
@@ -97,7 +92,7 @@ func run() error {
 		input = string(b)
 	}
 
-	opts := sigrec.Options{Deadline: *timeout, StepBudget: *budget, SelectorWorkers: *selWork}
+	opts := sigrec.Options{Deadline: *timeout, StepBudget: *budget}
 	if *storeDir != "" {
 		st, serr := store.Open(*storeDir, store.Options{})
 		if serr != nil {
@@ -190,22 +185,6 @@ func emitJSON(w io.Writer, res sigrec.Result, db *efsd.DB) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(server.ResponseFromResult(res, annotate))
-}
-
-// validateFlags rejects flag values that would otherwise be silently
-// reinterpreted (mirroring sigrecd's usage-error treatment).
-func validateFlags(selectorWorkers int) error {
-	if selectorWorkers < 0 {
-		return fmt.Errorf("-selector-workers must be >= 0 (0 = auto, 1 = sequential), got %d", selectorWorkers)
-	}
-	return nil
-}
-
-// usageError prints the flag summary after the error so a bad invocation
-// fails with actionable output rather than a bare message.
-func usageError(err error) error {
-	flag.Usage()
-	return err
 }
 
 // decodeHexInput tolerates a 0x prefix and surrounding whitespace and

@@ -95,7 +95,6 @@ func run() error {
 		paths     = flag.Int("maxpaths", 0, "explored-path cap per exploration (0 = built-in default)")
 		cache     = flag.Int("cache", server.DefaultCacheEntries, "result-cache entries (keccak-keyed LRU)")
 		storeDir  = flag.String("store-dir", "", "directory for the persistent result store layered under the cache; warm results survive restarts (empty = memory-only)")
-		selWork   = flag.Int("selector-workers", 1, "parallel selector explorations per contract (1 = sequential, 0 = auto up to GOMAXPROCS)")
 		maxBody   = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
@@ -111,7 +110,6 @@ func run() error {
 		sloLatUS  = flag.Duration("slo-latency-threshold", 100*time.Millisecond, "latency SLO: the duration 99% of recoveries must complete under (0 = latency objective off)")
 		shardID   = flag.String("shard-id", "", "this shard's id on the cluster hash ring (enables peer cache fill when -peers is set)")
 		peerSpec  = flag.String("peers", "", "comma-separated peer shards as id=url; on a local cache miss whose ring owner is a peer, its cache is consulted before computing")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per shard on the cluster hash ring (0 = default; must match the router)")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -121,7 +119,7 @@ func run() error {
 		return nil
 	}
 
-	if err := validateFlags(*workers, *queue, *maxBody, *selWork); err != nil {
+	if err := validateFlags(*workers, *queue, *maxBody); err != nil {
 		return usageError(err)
 	}
 	peers, err := parsePeers(*peerSpec)
@@ -226,7 +224,7 @@ func run() error {
 	var fill core.FillFunc
 	var ring *cluster.Ring
 	if len(peers) > 0 {
-		ring = cluster.NewRing(*vnodes)
+		ring = cluster.NewRing()
 		ring.Add(*shardID)
 		for id := range peers {
 			ring.Add(id)
@@ -234,12 +232,6 @@ func run() error {
 		fill = cluster.PeerFill(ring, *shardID, peers, nil, 0)
 	}
 
-	// Flag 0 = auto is server config -1 (server reads 0 as its sequential
-	// default).
-	selectorWorkers := *selWork
-	if selectorWorkers == 0 {
-		selectorWorkers = -1
-	}
 	// Stitched traces tag spans with the shard id when there is one — that
 	// is the name peers and the router use in their TracePeers maps — and
 	// fall back to the OTLP service name for a standalone process. The
@@ -250,22 +242,21 @@ func run() error {
 		service = *shardID
 	}
 	srv := server.New(server.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		Timeout:         *timeout,
-		StepBudget:      *budget,
-		MaxPaths:        *paths,
-		SelectorWorkers: selectorWorkers,
-		Cache:           tiered,
-		CacheEntries:    *cache,
-		MaxBodyBytes:    *maxBody,
-		Logger:          logger,
-		Tracer:          tracer,
-		EventLog:        events,
-		CacheFill:       fill,
-		SLO:             sloEval,
-		Service:         service,
-		TracePeers:      peers,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		Timeout:      *timeout,
+		StepBudget:   *budget,
+		MaxPaths:     *paths,
+		Cache:        tiered,
+		CacheEntries: *cache,
+		MaxBodyBytes: *maxBody,
+		Logger:       logger,
+		Tracer:       tracer,
+		EventLog:     events,
+		CacheFill:    fill,
+		SLO:          sloEval,
+		Service:      service,
+		TracePeers:   peers,
 	})
 	if len(peers) > 0 {
 		srv.Mount("POST "+cluster.FillPath, cluster.FillHandler(srv.Cache(), *maxBody))
@@ -321,7 +312,6 @@ func run() error {
 		"max_paths", rc.MaxPaths,
 		"cache_entries", *cache,
 		"store_dir", *storeDir,
-		"selector_workers", *selWork,
 		"max_body", rc.MaxBodyBytes,
 		"tracing", tracer != nil,
 		"event_log", *eventLog,
@@ -440,7 +430,7 @@ func exportEFSD(s *store.Store, path string) error {
 // deep in the serving layer (a negative worker count silently selecting
 // GOMAXPROCS, a zero queue shedding everything, a zero body cap rejecting
 // every request).
-func validateFlags(workers, queue int, maxBody int64, selectorWorkers int) error {
+func validateFlags(workers, queue int, maxBody int64) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
 	}
@@ -449,9 +439,6 @@ func validateFlags(workers, queue int, maxBody int64, selectorWorkers int) error
 	}
 	if maxBody <= 0 {
 		return fmt.Errorf("-maxbody must be positive, got %d", maxBody)
-	}
-	if selectorWorkers < 0 {
-		return fmt.Errorf("-selector-workers must be >= 0 (0 = auto, 1 = sequential), got %d", selectorWorkers)
 	}
 	return nil
 }

@@ -30,15 +30,9 @@ type Breaker struct {
 	probing  bool // a half-open probe is in flight
 }
 
-// NewBreaker returns a closed breaker (threshold <= 0 selects 3,
-// cooldown <= 0 selects one second).
+// NewBreaker returns a closed breaker that opens after threshold
+// consecutive failures and probes again after cooldown.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = time.Second
-	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

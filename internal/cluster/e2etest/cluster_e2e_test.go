@@ -301,9 +301,8 @@ func TestClusterE2E(t *testing.T) {
 		"-addr", routerAddr,
 		"-shards", shardSpec,
 		"-hedge=false",
-		"-health-interval", "100ms",
-		// Big enough that the 100ms health-poll records cannot evict the
-		// load's route records over the suite's whole runtime.
+		// Big enough that the health-poll records cannot evict the load's
+		// route records over the suite's whole runtime.
 		"-trace-slowest", "16384",
 		"-log-format", "json",
 	)
@@ -457,6 +456,18 @@ func TestClusterE2E(t *testing.T) {
 		t.Fatal("kill never fired")
 	}
 
+	// Let the router's health poll see s2 down before it comes back: the
+	// rising edge on its return is what closes the breaker the kill
+	// opened. A restart inside one poll interval shows no edge, and the
+	// breaker would bench s2 for its whole cooldown.
+	if err := cluster.Retry(ctx, 100, 50*time.Millisecond, func() error {
+		if scrapeSum(t, client, `cluster_shard_healthy{shard="s2"}`, routerURL) != 0 {
+			return fmt.Errorf("router still reports s2 healthy")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// Restart s2 on the same address with a fresh event log, wait until
 	// it serves, then finish the load with the full pool back.
 	shards["s2"] = startShard("s2", "s2-restarted")
@@ -521,7 +532,7 @@ func TestClusterE2E(t *testing.T) {
 
 	// --- peer cache fill, across real processes ---
 
-	ring := cluster.NewRing(0)
+	ring := cluster.NewRing()
 	for _, id := range shardIDs {
 		ring.Add(id)
 	}
@@ -553,7 +564,7 @@ func TestClusterE2E(t *testing.T) {
 		t.Errorf("non-owner recomputed (%.0f recoveries) despite peer fill", got)
 	}
 
-	// --- phase C: hedging, on a second router with an aggressive clamp ---
+	// --- phase C: hedging, on a second router ---
 
 	hedgeAddr := pickAddr(t)
 	hedgeURL := "http://" + hedgeAddr
@@ -561,15 +572,27 @@ func TestClusterE2E(t *testing.T) {
 		"-addr", hedgeAddr,
 		"-shards", shardSpec,
 		"-hedge=true",
-		"-hedge-min", "200us",
-		"-hedge-max", "200us",
-		"-health-interval", "100ms",
 		"-trace-slowest", "4096",
 		"-log-format", "json",
 	)
 	if err := cluster.WaitReady(ctx, client, hedgeURL+"/healthz"); err != nil {
 		hedgeRouter.stop(t)
 		t.Fatal(err)
+	}
+	// Until its first scrape of a shard's p95 the router hedges only after
+	// 500ms; the load starts once every shard's p95 is known, so the hedge
+	// delay is the p95 clamped to [2ms, 500ms].
+	for _, id := range shardIDs {
+		series := `cluster_shard_p95_microseconds{shard="` + id + `"}`
+		if err := cluster.Retry(ctx, 100, 50*time.Millisecond, func() error {
+			if scrapeSum(t, client, series, hedgeURL) <= 0 {
+				return fmt.Errorf("hedge router has no p95 for %s yet", id)
+			}
+			return nil
+		}); err != nil {
+			hedgeRouter.stop(t)
+			t.Fatal(err)
+		}
 	}
 	var hwg sync.WaitGroup
 	for i := 0; i < 60; i++ {
@@ -584,7 +607,7 @@ func TestClusterE2E(t *testing.T) {
 	hwg.Wait()
 	hedgesFired := scrapeSum(t, client, "cluster_router_hedges_fired_total", hedgeURL)
 	if hedgesFired == 0 {
-		t.Error("no hedges fired despite a 200us clamp under concurrent load")
+		t.Error("no hedges fired under concurrent load although queueing outlasts every shard's p95")
 	}
 	hedgesWon := scrapeSum(t, client, "cluster_router_hedges_won_total", hedgeURL)
 	t.Logf("hedges fired: %.0f, won: %.0f", hedgesFired, hedgesWon)

@@ -21,10 +21,12 @@ import (
 	"sigrec/internal/keccak"
 )
 
-// DefaultVNodes is the virtual-node count per shard. 160 points per shard
-// keeps the max/mean ownership ratio within a few percent for small
-// clusters while the ring stays tiny (N*160 points, binary-searched).
-const DefaultVNodes = 160
+// vnodes is the virtual-node count per shard. 160 points per shard keeps
+// the max/mean ownership ratio within a few percent for small clusters
+// while the ring stays tiny (N*160 points, binary-searched). It is fixed
+// rather than configurable because the router and every shard's peer-fill
+// ring must place keys identically.
+const vnodes = 160
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle and
 // the shard that owns the arc ending there.
@@ -38,19 +40,12 @@ type ringPoint struct {
 // rebuilds (membership changes are rare), lookups are a binary search.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	shards []string // sorted shard ids
 	points []ringPoint
 }
 
-// NewRing returns a ring with the given virtual-node count per shard
-// (<= 0 selects DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes}
-}
+// NewRing returns an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 // point hashes one virtual node of a shard onto the circle. keccak keeps
 // the package dependency-free and matches the key hash family; the ring
@@ -94,7 +89,7 @@ func (r *Ring) Remove(shard string) {
 func (r *Ring) rebuild() {
 	r.points = r.points[:0]
 	for idx, s := range r.shards {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{pos: point(s, v), shard: idx})
 		}
 	}

@@ -44,7 +44,7 @@ func TestRingRebalanceOnAdd(t *testing.T) {
 	const nKeys = 20000
 	keys := randomKeys(1, nKeys)
 	for n := 2; n <= 6; n++ {
-		r := NewRing(0)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			r.Add(fmt.Sprintf("shard%d", i))
 		}
@@ -81,7 +81,7 @@ func TestRingRebalanceOnRemove(t *testing.T) {
 	const nKeys = 20000
 	keys := randomKeys(2, nKeys)
 	for n := 3; n <= 6; n++ {
-		r := NewRing(0)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			r.Add(fmt.Sprintf("shard%d", i))
 		}
@@ -115,7 +115,7 @@ func TestRingRebalanceOnRemove(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	const nKeys = 30000
 	keys := randomKeys(3, nKeys)
-	r := NewRing(0)
+	r := NewRing()
 	shards := []string{"a", "b", "c", "d", "e"}
 	for _, s := range shards {
 		r.Add(s)
@@ -136,7 +136,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingSequence: the fallback sequence starts at the owner, visits
 // every shard exactly once, and is stable for a given key.
 func TestRingSequence(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, s := range []string{"a", "b", "c"} {
 		r.Add(s)
 	}
@@ -162,7 +162,7 @@ func TestRingSequence(t *testing.T) {
 // uniform load degrades to plain ownership; a fully saturated ring still
 // answers with the owner.
 func TestRingPickBounded(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, s := range []string{"a", "b", "c"} {
 		r.Add(s)
 	}
@@ -189,6 +189,48 @@ func TestRingPickBounded(t *testing.T) {
 	got, _ = r.PickBounded(key, nil, 0)
 	if got != owner {
 		t.Errorf("factor<=1: picked %s, want owner %s", got, owner)
+	}
+}
+
+// TestRingVNodes pins the ring geometry to 160 virtual nodes per shard:
+// every key lands on the shard owning the first of the shards' 160 points
+// at or clockwise after it, found here by brute force.
+func TestRingVNodes(t *testing.T) {
+	shards := []string{"s1", "s2", "s3"}
+	r := NewRing()
+	type pt struct {
+		pos   uint64
+		shard string
+	}
+	var pts []pt
+	for _, s := range shards {
+		r.Add(s)
+		for v := 0; v < 160; v++ {
+			pts = append(pts, pt{point(s, v), s})
+		}
+	}
+	if len(r.points) != len(pts) {
+		t.Fatalf("ring has %d points, want %d (160 per shard)", len(r.points), len(pts))
+	}
+	keys := randomKeys(5, 5000)
+	for i, o := range owners(t, r, keys) {
+		pos := keyPos(keys[i])
+		best, first := pts[0], pts[0]
+		found := false
+		for _, p := range pts {
+			if p.pos < first.pos {
+				first = p
+			}
+			if p.pos >= pos && (!found || p.pos < best.pos) {
+				best, found = p, true
+			}
+		}
+		if !found {
+			best = first // wrap around
+		}
+		if o != best.shard {
+			t.Fatalf("key %d: owner %s, 160-vnode reference %s", i, o, best.shard)
+		}
 	}
 }
 

@@ -21,15 +21,44 @@ import (
 	"sigrec/internal/telemetry"
 )
 
-// Router defaults applied by NewRouter for zero Config fields.
-const (
-	DefaultHedgeMultiplier = 1.0
-	DefaultHedgeMin        = 2 * time.Millisecond
-	DefaultHedgeMax        = 500 * time.Millisecond
-	DefaultLoadFactor      = 1.25
-	DefaultTimeout         = 10 * time.Second
-	DefaultHealthInterval  = 500 * time.Millisecond
-)
+// DefaultTimeout is the end-to-end request deadline NewRouter applies
+// when Config.Timeout is zero.
+const DefaultTimeout = 10 * time.Second
+
+// policy is the routing policy a Router runs with. It is not
+// configurable: NewRouter always runs fixedPolicy, and only this
+// package's tests shorten its timings, through newRouter.
+type policy struct {
+	// hedgeMin and hedgeMax clamp the hedge delay, the serving shard's
+	// scraped p95; before the first scrape the delay is hedgeMax.
+	hedgeMin, hedgeMax time.Duration
+	// breakerFailures consecutive failures open a shard's circuit
+	// breaker; after breakerCooldown one half-open probe is admitted.
+	breakerFailures int
+	breakerCooldown time.Duration
+	// healthInterval is the shard health/p95 poll period.
+	healthInterval time.Duration
+	// loadFactor is the bounded-load factor c: a shard loaded past
+	// c * mean inflight is skipped for its ring successor.
+	loadFactor float64
+	// batchPerShard bounds a batch request's in-flight upstream calls,
+	// per shard in the pool.
+	batchPerShard int
+}
+
+// fixedPolicy is the policy of every router NewRouter builds. One set of
+// values serves every deployment, so none of them is configurable.
+func fixedPolicy() policy {
+	return policy{
+		hedgeMin:        2 * time.Millisecond,
+		hedgeMax:        500 * time.Millisecond,
+		breakerFailures: 3,
+		breakerCooldown: time.Second,
+		healthInterval:  500 * time.Millisecond,
+		loadFactor:      1.25,
+		batchPerShard:   4,
+	}
+}
 
 // ShardAddr names one backend: a stable shard id (the ring key) and the
 // base URL its sigrecd listens on.
@@ -44,9 +73,6 @@ type Config struct {
 	// Shards is the backend pool. IDs must be unique; they are the ring
 	// positions, so renaming a shard reshuffles its key slice.
 	Shards []ShardAddr
-	// VNodes is the virtual-node count per shard (<= 0 selects
-	// DefaultVNodes).
-	VNodes int
 	// Timeout bounds one client request end to end, across every retry
 	// and hedge (<= 0 selects DefaultTimeout).
 	Timeout time.Duration
@@ -54,28 +80,10 @@ type Config struct {
 	// selects the serving layer's default).
 	MaxBodyBytes int64
 	// Hedge enables tail-latency hedging: when the shard serving a
-	// request has not answered within its p95-derived delay, the same
-	// request is fired at the ring successor and the first answer wins.
+	// request has not answered within its p95 (clamped to [2ms, 500ms]),
+	// the same request is fired at the ring successor and the first
+	// answer wins.
 	Hedge bool
-	// HedgeMultiplier scales the scraped p95 into the hedge delay
-	// (<= 0 selects 1.0); HedgeMin/HedgeMax clamp it.
-	HedgeMultiplier float64
-	HedgeMin        time.Duration
-	HedgeMax        time.Duration
-	// BreakerFailures and BreakerCooldown configure each shard's circuit
-	// breaker (defaults: 3 consecutive failures, 1s cooldown).
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	// HealthInterval is the shard health/stats poll period (<= 0 selects
-	// DefaultHealthInterval).
-	HealthInterval time.Duration
-	// LoadFactor is the bounded-load factor c: a shard loaded past
-	// c * mean inflight is skipped for its ring successor (<= 0 selects
-	// 1.25; 1 disables the bound).
-	LoadFactor float64
-	// BatchConcurrency bounds in-flight upstream calls per batch request
-	// (<= 0 selects 4 per shard).
-	BatchConcurrency int
 	// Registry receives the router metrics (nil allocates a private one).
 	Registry *telemetry.Registry
 	// Logger, when non-nil, receives one access-log record per request.
@@ -159,6 +167,7 @@ func newRouterMetrics(reg *telemetry.Registry, shards []ShardAddr) *routerMetric
 // it and start another and nothing is lost.
 type Router struct {
 	cfg     Config
+	pol     policy
 	ring    *Ring
 	shards  map[string]*shard
 	client  *http.Client
@@ -174,7 +183,9 @@ type Router struct {
 
 // NewRouter builds a router over the configured shard pool and starts the
 // health/stats pollers. Call Close to stop them.
-func NewRouter(cfg Config) (*Router, error) {
+func NewRouter(cfg Config) (*Router, error) { return newRouter(cfg, fixedPolicy()) }
+
+func newRouter(cfg Config, pol policy) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one shard")
 	}
@@ -184,30 +195,13 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = server.DefaultMaxBodyBytes
 	}
-	if cfg.HedgeMultiplier <= 0 {
-		cfg.HedgeMultiplier = DefaultHedgeMultiplier
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = DefaultHedgeMin
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = DefaultHedgeMax
-	}
-	if cfg.LoadFactor <= 0 {
-		cfg.LoadFactor = DefaultLoadFactor
-	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = DefaultHealthInterval
-	}
-	if cfg.BatchConcurrency <= 0 {
-		cfg.BatchConcurrency = 4 * len(cfg.Shards)
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.VNodes),
+		pol:    pol,
+		ring:   NewRing(),
 		shards: make(map[string]*shard, len(cfg.Shards)),
 		client: &http.Client{Transport: cfg.Transport},
 		reg:    cfg.Registry,
@@ -221,7 +215,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		if _, dup := rt.shards[sa.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate shard id %q", sa.ID)
 		}
-		sh := &shard{id: sa.ID, url: sa.URL, breaker: NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)}
+		sh := &shard{id: sa.ID, url: sa.URL, breaker: NewBreaker(pol.breakerFailures, pol.breakerCooldown)}
 		sh.healthy.Store(true) // optimistic until the first poll; the breaker covers dead backends
 		rt.shards[sa.ID] = sh
 		rt.ring.Add(sa.ID)
@@ -270,7 +264,7 @@ func (rt *Router) Close() {
 func (rt *Router) pollLoop(ctx context.Context, sh *shard) {
 	defer rt.pollWG.Done()
 	rt.pollOnce(ctx, sh)
-	t := time.NewTicker(rt.cfg.HealthInterval)
+	t := time.NewTicker(rt.pol.healthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -318,7 +312,7 @@ func (rt *Router) handleSlowest(w http.ResponseWriter, r *http.Request) {
 // best effort, not a self-inflicted blackout.
 func (rt *Router) candidates(key [32]byte) ([]*shard, string) {
 	load := func(id string) int { return int(rt.shards[id].inflight.Load()) }
-	pick, _ := rt.ring.PickBounded(key, load, rt.cfg.LoadFactor)
+	pick, _ := rt.ring.PickBounded(key, load, rt.pol.loadFactor)
 	seq := rt.ring.Sequence(key)
 	owner := ""
 	if len(seq) > 0 {
@@ -588,7 +582,7 @@ func (rt *Router) do(ctx context.Context, key [32]byte, body []byte, baseID stri
 		var hedgeC <-chan time.Time
 		var hedgeT *time.Timer
 		if rt.cfg.Hedge && !hedged && inflight == 1 && next < len(cands) {
-			d := cands[next-1].hedgeDelay(rt.cfg.HedgeMultiplier, rt.cfg.HedgeMin, rt.cfg.HedgeMax)
+			d := cands[next-1].hedgeDelay(rt.pol.hedgeMin, rt.pol.hedgeMax)
 			hedgeT = time.NewTimer(d)
 			hedgeC = hedgeT.C
 		}
@@ -720,12 +714,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	_ = rc.EnableFullDuplex()
 
 	ctx := r.Context()
-	out := make(chan server.BatchResult, rt.cfg.BatchConcurrency)
+	conc := rt.pol.batchPerShard * len(rt.cfg.Shards)
+	out := make(chan server.BatchResult, conc)
 	go func() {
 		defer close(out)
 		var wg sync.WaitGroup
 		defer wg.Wait()
-		sem := make(chan struct{}, rt.cfg.BatchConcurrency)
+		sem := make(chan struct{}, conc)
 		sc := bufio.NewScanner(r.Body)
 		sc.Buffer(make([]byte, 64<<10), int(rt.cfg.MaxBodyBytes))
 		idx := 0

@@ -76,10 +76,9 @@ func stubLatencyExposition() string {
 // p95 of what the shard observed.
 func TestShardP95FromHistogram(t *testing.T) {
 	stub := newStubShard(t, okRecover)
-	rt := newTestRouter(t, Config{
-		Shards:         []ShardAddr{{ID: "s1", URL: stub.srv.URL}},
-		HealthInterval: time.Hour, // poll driven by hand below
-	})
+	pol := fixedPolicy()
+	pol.healthInterval = time.Hour // poll driven by hand below
+	rt := newTunedRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: stub.srv.URL}}}, pol)
 	rt.shards["s1"].poll(t.Context(), rt.client, rt.m)
 
 	vals := stubLatencies()
@@ -120,6 +119,17 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 	return rt
 }
 
+// newTunedRouter builds a router whose policy a test has shortened.
+func newTunedRouter(t *testing.T, cfg Config, pol policy) *Router {
+	t.Helper()
+	rt, err := newRouter(cfg, pol)
+	if err != nil {
+		t.Fatalf("newRouter: %v", err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
 func counterValue(rt *Router, name string) uint64 {
 	return rt.Registry().Snapshot().Counters[name]
 }
@@ -129,12 +139,10 @@ func counterValue(rt *Router, name string) uint64 {
 // interval instead of sitting out the rest of its breaker cooldown.
 func TestHealthRecoveryClosesBreaker(t *testing.T) {
 	stub := newStubShard(t, okRecover)
-	rt := newTestRouter(t, Config{
-		Shards:          []ShardAddr{{ID: "s1", URL: stub.srv.URL}},
-		BreakerFailures: 1,
-		BreakerCooldown: time.Hour,
-		HealthInterval:  time.Hour, // poll driven by hand below
-	})
+	pol := fixedPolicy()
+	pol.breakerFailures, pol.breakerCooldown = 1, time.Hour
+	pol.healthInterval = time.Hour // poll driven by hand below
+	rt := newTunedRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: stub.srv.URL}}}, pol)
 	sh := rt.shards["s1"]
 	sh.healthy.Store(false)
 	sh.breaker.Failure() // threshold 1: open, with an hour of cooldown left
@@ -184,7 +192,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("s1")
 	ring.Add("s2")
 	owner, _ := ring.Owner(keccak.Sum256(code))
@@ -276,13 +284,13 @@ func TestRouterBreakerSkipsOpenShard(t *testing.T) {
 		fmt.Fprint(w, `{"error":"boom"}`)
 	})
 	up := newStubShard(t, okRecover)
-	rt := newTestRouter(t, Config{
+	// One failure opens the breaker; a long cooldown keeps it open for the
+	// rest of the test.
+	pol := fixedPolicy()
+	pol.breakerFailures, pol.breakerCooldown = 1, time.Minute
+	rt := newTunedRouter(t, Config{
 		Shards: []ShardAddr{{ID: "s1", URL: down.srv.URL}, {ID: "s2", URL: up.srv.URL}},
-		// One failure opens the breaker; a long cooldown keeps it open for
-		// the rest of the test.
-		BreakerFailures: 1,
-		BreakerCooldown: time.Minute,
-	})
+	}, pol)
 
 	for i := 0; i < 5; i++ {
 		rec := postRecover(t, rt.Handler(), testCode, "")
@@ -312,17 +320,17 @@ func TestRouterHedging(t *testing.T) {
 	})
 	defer close(release)
 	fast := newStubShard(t, okRecover)
-	rt := newTestRouter(t, Config{
+	// Force an immediate hedge regardless of scraped p95.
+	pol := fixedPolicy()
+	pol.hedgeMin, pol.hedgeMax = time.Millisecond, time.Millisecond
+	rt := newTunedRouter(t, Config{
 		Shards: []ShardAddr{{ID: "s1", URL: slow.srv.URL}, {ID: "s2", URL: fast.srv.URL}},
 		Hedge:  true,
-		// Force an immediate hedge regardless of scraped p95.
-		HedgeMin: time.Millisecond,
-		HedgeMax: time.Millisecond,
-	})
+	}, pol)
 
 	// Find a bytecode owned by the slow shard so the hedge targets the
 	// fast successor. Vary the appended suffix until the ring cooperates.
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("s1")
 	ring.Add("s2")
 	body := ""
@@ -426,6 +434,148 @@ func TestRouterHealthz(t *testing.T) {
 	}
 }
 
+// TestRouterFixedPolicy pins the routing policy of a router built from
+// Config{Shards} alone: hedge at the p95 clamped to [2ms, 500ms] (500ms
+// before the first scrape), open a breaker after 3 consecutive failures
+// and probe after 1s, divert past 1.25x the mean inflight, cap a batch at
+// 4 in-flight calls per shard, and place keys exactly where NewRing does.
+func TestRouterFixedPolicy(t *testing.T) {
+	// A dead shard fails every health poll, so the poller never scrapes a
+	// p95 and never touches the breaker: both stay under test control.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+
+	t.Run("hedge", func(t *testing.T) {
+		rt := newTestRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: dead.URL}}})
+		sh := rt.shards["s1"]
+		for _, c := range []struct {
+			p95us int64
+			want  time.Duration
+		}{
+			{0, 500 * time.Millisecond}, // before the first scrape
+			{1, 2 * time.Millisecond},
+			{1999, 2 * time.Millisecond},
+			{2000, 2 * time.Millisecond},
+			{9500, 9500 * time.Microsecond},
+			{499999, 499999 * time.Microsecond},
+			{500000, 500 * time.Millisecond},
+			{7000000, 500 * time.Millisecond},
+		} {
+			sh.p95us.Store(c.p95us)
+			if got := sh.hedgeDelay(rt.pol.hedgeMin, rt.pol.hedgeMax); got != c.want {
+				t.Errorf("p95 %dus: hedge delay %v, want %v", c.p95us, got, c.want)
+			}
+		}
+	})
+
+	t.Run("breaker", func(t *testing.T) {
+		rt := newTestRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: dead.URL}}})
+		b := rt.shards["s1"].breaker
+		clock := time.Unix(1000, 0)
+		b.mu.Lock()
+		b.now = func() time.Time { return clock }
+		b.mu.Unlock()
+		for i := 1; i <= 3; i++ {
+			if got := b.State(); got != BreakerClosed {
+				t.Fatalf("after %d failures: state %d, want closed", i-1, got)
+			}
+			b.Failure()
+		}
+		if got := b.State(); got != BreakerOpen {
+			t.Fatalf("after 3 failures: state %d, want open", got)
+		}
+		clock = clock.Add(time.Second - time.Nanosecond)
+		if b.Allow() {
+			t.Fatal("breaker admitted a request before its 1s cooldown")
+		}
+		clock = clock.Add(time.Nanosecond)
+		if !b.Allow() || b.State() != BreakerHalfOpen {
+			t.Fatalf("breaker did not probe after 1s (state %d)", b.State())
+		}
+	})
+
+	t.Run("divert", func(t *testing.T) {
+		a, b := newStubShard(t, okRecover), newStubShard(t, okRecover)
+		rt := newTestRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: a.srv.URL}, {ID: "s2", URL: b.srv.URL}}})
+		key := keccak.Sum256([]byte("hot contract"))
+		seq := rt.ring.Sequence(key)
+		owner, succ := rt.shards[seq[0]], rt.shards[seq[1]]
+		// The owner is skipped once its load reaches
+		// int(1.25 * (total+1) / 2); the rows straddle that limit, and
+		// {4,3} and {5,3} would flip under factors 1.1 and 1.5.
+		for _, c := range []struct {
+			owner, succ int64
+			divert      bool
+		}{
+			{0, 0, false},
+			{1, 0, true},
+			{4, 3, false},
+			{5, 3, true},
+			{4, 4, false},
+			{6, 2, true},
+			{9, 9, false},
+		} {
+			owner.inflight.Store(c.owner)
+			succ.inflight.Store(c.succ)
+			cands, _ := rt.candidates(key)
+			if got := cands[0] != owner; got != c.divert {
+				t.Errorf("inflight owner=%d successor=%d: diverted=%v, want %v", c.owner, c.succ, got, c.divert)
+			}
+		}
+		owner.inflight.Store(0)
+		succ.inflight.Store(0)
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		const shards, perShard = 2, 4
+		var cur, peak atomic.Int64
+		hold := func(w http.ResponseWriter, r *http.Request) {
+			n := cur.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			// Wait for the cap to fill, then hold long enough that a
+			// looser cap would admit more calls meanwhile.
+			for deadline := time.Now().Add(2 * time.Second); cur.Load() < shards*perShard && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond)
+			cur.Add(-1)
+			okRecover(w, r)
+		}
+		a, b := newStubShard(t, hold), newStubShard(t, hold)
+		rt := newTestRouter(t, Config{Shards: []ShardAddr{{ID: "s1", URL: a.srv.URL}, {ID: "s2", URL: b.srv.URL}}})
+		var in bytes.Buffer
+		for i := 0; i < 24; i++ {
+			fmt.Fprintf(&in, "%s%02x\n", testCode, i)
+		}
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/recover/batch", &in))
+		if n := strings.Count(rec.Body.String(), "\n"); rec.Code != http.StatusOK || n != 24 {
+			t.Fatalf("status %d, %d lines", rec.Code, n)
+		}
+		if got := peak.Load(); got != shards*perShard {
+			t.Fatalf("peak in-flight upstream calls = %d, want %d", got, shards*perShard)
+		}
+	})
+
+	t.Run("ring", func(t *testing.T) {
+		rt := newTestRouter(t, Config{Shards: []ShardAddr{
+			{ID: "s1", URL: dead.URL}, {ID: "s2", URL: dead.URL}, {ID: "s3", URL: dead.URL},
+		}})
+		ref := NewRing()
+		for _, id := range []string{"s1", "s2", "s3"} {
+			ref.Add(id)
+		}
+		keys := randomKeys(4, 5000)
+		got, want := owners(t, rt.ring, keys), owners(t, ref, keys)
+		for i := range keys {
+			if got[i] != want[i] {
+				t.Fatalf("key %d: router ring owner %s, NewRing owner %s", i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // --- peer cache fill ---
 
 // mustResult builds a small but fully featured recovery result: typed
@@ -509,7 +659,7 @@ func TestPeerFill(t *testing.T) {
 	defer owner.Close()
 
 	// A two-shard ring where "owner" owns the key, seen from "other".
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("owner")
 	ownedBy, _ := ring.Owner(keccak.Sum256(code))
 	if ownedBy != "owner" {

@@ -24,24 +24,16 @@ type shard struct {
 }
 
 // hedgeDelay derives when to hedge a request sent to this shard: the
-// shard's own p95 scaled by the multiplier, clamped to [min, max]. A
-// request still unanswered past the shard's p95 is in its latency tail —
-// the textbook moment to hedge. Before the first scrape (p95 unknown) the
-// delay is max, so a cold router hedges conservatively rather than
-// doubling every request.
-func (s *shard) hedgeDelay(multiplier float64, min, max time.Duration) time.Duration {
+// shard's own p95, clamped to [lo, hi]. A request still unanswered past
+// the shard's p95 is in its latency tail — the textbook moment to hedge.
+// Before the first scrape (p95 unknown) the delay is hi, so a cold router
+// hedges conservatively rather than doubling every request.
+func (s *shard) hedgeDelay(lo, hi time.Duration) time.Duration {
 	p95 := s.p95us.Load()
 	if p95 <= 0 {
-		return max
+		return hi
 	}
-	d := time.Duration(float64(p95) * multiplier * float64(time.Microsecond))
-	if d < min {
-		d = min
-	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(max(time.Duration(p95)*time.Microsecond, lo), hi)
 }
 
 // poll refreshes health and the hedge-delay quantile once. Health is the

@@ -509,7 +509,9 @@ func driveHedgedRequest(t *testing.T, col *traceCollector, shards []*tracedShard
 		Registry:    hedgeReg,
 	})
 	hedgeTracer := obs.New(obs.Config{Slowest: 4096, Sink: hedgeExp.Sink()})
-	rt, err := NewRouter(Config{
+	pol := fixedPolicy()
+	pol.hedgeMin, pol.hedgeMax = time.Millisecond, 2*time.Millisecond
+	rt, err := newRouter(Config{
 		Shards: []ShardAddr{
 			{ID: "s1", URL: slow.URL},
 			{ID: "s2", URL: shards[1].ts.URL},
@@ -518,9 +520,7 @@ func driveHedgedRequest(t *testing.T, col *traceCollector, shards []*tracedShard
 		Registry: hedgeReg,
 		Tracer:   hedgeTracer,
 		Hedge:    true,
-		HedgeMin: time.Millisecond,
-		HedgeMax: 2 * time.Millisecond,
-	})
+	}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func driveHedgedRequest(t *testing.T, col *traceCollector, shards []*tracedShard
 
 	// Find a code the ring assigns to the stalled s1, using the same ring
 	// construction as the router.
-	predict := NewRing(0)
+	predict := NewRing()
 	predict.Add("s1")
 	predict.Add("s2")
 	predict.Add("s3")

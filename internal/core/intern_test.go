@@ -147,7 +147,7 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range c.Entries {
 				i := (k + 7*w) % len(c.Entries)
-				res, err := RecoverContext(ctx, c.Entries[i].Code, Options{SelectorWorkers: 1 + w%2})
+				res, err := RecoverContext(ctx, c.Entries[i].Code, Options{workers: 1 + w%2})
 				got[w][i] = held{res, err}
 			}
 		}(w)

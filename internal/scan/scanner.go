@@ -69,8 +69,8 @@ type Config struct {
 	// MaxProxyHops bounds proxy-of-proxy chains during resolution.
 	MaxProxyHops int
 	// Recover carries the per-contract recovery budgets (StepBudget,
-	// MaxPaths, Deadline, SelectorWorkers). Cache and EventLog are
-	// overridden with the scanner's own.
+	// MaxPaths, Deadline). Cache and EventLog are overridden with the
+	// scanner's own.
 	Recover core.Options
 	// Tracer, when set, records span trees through the scan stages.
 	Tracer *obs.Tracer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -290,6 +291,12 @@ func TestObsOTLPExportE2E(t *testing.T) {
 	req.Header.Set("X-Request-Id", "otlp-batch-e2e")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Read the whole stream before closing: the response starts with the
+	// first finished item, and closing the body then cancels the request,
+	// so an item not yet admitted would be skipped, never recovered.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
