@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench-check bench bench-gate pgo
+.PHONY: check fmt vet build test race golden serve serve-e2e obs-e2e analytics-e2e cluster-e2e scan-e2e fuzz-smoke bench-smoke bench-check bench bench-gate pgo
 
 # BENCH is the tracked benchmark artifact for this PR in the BENCH_<n>.json
 # trajectory; bump the number when a PR re-records performance.
@@ -27,6 +27,14 @@ test:
 
 race:
 	$(GO) test -race ./internal/core ./internal/evm ./internal/server
+
+# Re-record the per-signature golden (internal/core/testdata/
+# signatures.golden) from the current engine and show what moved. `make
+# check` gates against the committed file; re-record only when the diff
+# below is the intended effect of the change, and say why in CHANGES.md.
+golden:
+	$(GO) test -count=1 ./internal/core -run '^TestSignatureGolden$$' -update
+	git diff --stat -- internal/core/testdata
 
 # Run the sigrecd HTTP daemon locally (see README "Serving" for flags).
 serve:

@@ -149,29 +149,6 @@ func BenchmarkBatchRecoveryCached(b *testing.B) {
 	}
 }
 
-// BenchmarkRecoverInterningOff is the A/B control for the hash-consed
-// engine: the same batch as BenchmarkBatchRecovery with interning
-// disabled, quantifying what the interner and copy-on-write state buy.
-func BenchmarkRecoverInterningOff(b *testing.B) {
-	c, err := corpus.Generate(corpus.Config{Seed: 9, Solidity: 64, Vyper: 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	codes := make([][]byte, len(c.Entries))
-	for i, e := range c.Entries {
-		codes[i] = e.Code
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items := core.RecoverAllContext(context.Background(), codes, 0,
-			core.Options{DisableInterning: true})
-		if len(items) != len(codes) {
-			b.Fatal("batch incomplete")
-		}
-	}
-}
-
 // benchE3Tracing runs the E3-shaped workload (recover a corpus of
 // contracts end to end) through core.RecoverContext with and without a
 // tracer armed. The pair is the tracing-overhead A/B that `make

@@ -9,7 +9,7 @@ import (
 // ExtractSelectors recovers the function ids a contract dispatches on by
 // symbolically executing the dispatcher: every EQ comparison between a
 // 4-byte constant and an expression derived from CALLDATALOAD(0) via
-// DIV/SHR/AND is a dispatch test (§2.2 of the paper).
+// DIV/SHR/SHL/AND is a dispatch test (§2.2 of the paper).
 func ExtractSelectors(program *Program) [][4]byte {
 	sels, _ := extractSelectors(program, defaultLimits())
 	return sels
@@ -63,8 +63,10 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 }
 
 // isSelectorExpr recognizes expressions that extract the high 4 bytes of
-// CALLDATALOAD(0): any composition of DIV, SHR, and AND over that load and
-// constants.
+// CALLDATALOAD(0): any composition of DIV, SHR, SHL, and AND over that load
+// and constants. SHL admits the mask-as-shift-round-trip shape
+// (SHR(224, SHL(224, x)) for AND(x, 0xffffffff)) that obfuscated
+// dispatchers use.
 func isSelectorExpr(e *Expr) bool {
 	hasLoad0 := false
 	ok := walkSelector(e, &hasLoad0)
@@ -84,7 +86,7 @@ func walkSelector(e *Expr, hasLoad0 *bool) bool {
 		return false
 	case KindApp:
 		switch e.Op {
-		case evm.DIV, evm.SHR, evm.AND:
+		case evm.DIV, evm.SHR, evm.SHL, evm.AND:
 			for _, a := range e.Args {
 				if !walkSelector(a, hasLoad0) {
 					return false

@@ -71,11 +71,6 @@ func NewCData(off *Expr) *Expr {
 	return &Expr{Kind: KindCData, Args: []*Expr{off}}
 }
 
-// NewEnv returns a fresh environment value.
-func NewEnv(label string, seq int) *Expr {
-	return &Expr{Kind: KindEnv, Env: label, Seq: seq}
-}
-
 // NewApp builds Op(args...), computing the concrete value when every
 // argument has one.
 func NewApp(op evm.Op, args ...*Expr) *Expr {
@@ -272,7 +267,9 @@ type LinearTerm struct {
 	Coeff evm.Word
 }
 
-// Linearize decomposes an expression over ADD/SUB/MUL-by-constant.
+// Linearize decomposes an expression over ADD/SUB/MUL-by-constant. Atoms
+// merge by pointer identity, so a repeated subterm must be one node, as it
+// is in every tree TASE builds.
 func Linearize(e *Expr) Linear {
 	var acc linAcc
 	acc.terms = acc.buf[:0]
@@ -332,9 +329,8 @@ func addLinearConst(c *evm.Word, e *Expr, coeff evm.Word) {
 
 // linAcc accumulates terms in first-seen order. Linearizations are small
 // (a handful of atoms), so merging is a linear scan over a slice — no map,
-// no per-term heap nodes. Interned atoms merge by pointer; the rendered
-// string (cached on the node) is the fallback so the noIntern differential
-// mode merges structurally identical duplicates exactly as before.
+// no per-term heap nodes. Atoms merge by pointer: TASE builds every node
+// through the trace's interner, so equal structure is one node.
 type linAcc struct {
 	c     evm.Word
 	terms []LinearTerm
@@ -369,7 +365,7 @@ func (a *linAcc) add(e *Expr, coeff evm.Word) {
 	}
 	for i := range a.terms {
 		t := &a.terms[i]
-		if t.Atom == e || t.Atom.String() == e.String() {
+		if t.Atom == e {
 			t.Coeff = t.Coeff.Add(coeff)
 			return
 		}

@@ -83,8 +83,7 @@ type bodyDesc struct {
 func (inf *inference) descOf(e *Expr) (bodyDesc, bool) {
 	// Nodes are interned per trace, so the pointer is a sound memo key;
 	// classifiers re-describe the same addresses for every parameter, and
-	// descriptors are immutable once built, so sharing them is safe. (In
-	// the noIntern differential mode duplicate nodes just miss the memo.)
+	// descriptors are immutable once built, so sharing them is safe.
 	if m, ok := inf.descMemo[e]; ok {
 		return m.d, m.ok
 	}

@@ -21,19 +21,20 @@ import (
 // the GC-scanned heap. A fresh small table that grows to the trace's own
 // size measures faster than both.
 //
-// Nodes are split across three tables by kind so every key is compact —
+// Nodes are split across tables by kind so every key is compact —
 // applications hash 32 bytes (three child pointers plus a packed tag)
 // instead of one wide struct carrying a Word and a string for all kinds.
+// Environment nodes need no table: each is fresh by construction.
 type interner struct {
 	// apps holds KindApp, KindCData, and KindCSize nodes; the tag packs
 	// kind, opcode, and arity.
 	apps map[appInternKey]*Expr
 	// consts holds constant nodes too large for the smallConst cache.
 	consts map[evm.Word]*Expr
-	// envs holds environment nodes keyed by (label, seq).
-	envs map[envInternKey]*Expr
 
 	nextID uint32
+	// envSeq numbers the environment nodes of this trace.
+	envSeq int
 	// hits/misses meter the hash-consing effectiveness; finishTASE folds
 	// them into the pipeline telemetry.
 	hits, misses uint64
@@ -53,11 +54,9 @@ type interner struct {
 	exprChunks *exprChunk
 	wordChunks *wordChunk
 
-	// smallConst caches the canonical nodes for constants 0..255 in front
+	// smallConst holds the canonical nodes for constants 0..255 instead
 	// of the consts table — stack offsets, head offsets, and mask widths
-	// dominate constE traffic, and a direct index avoids hashing on every
-	// hit. The table stays authoritative (every install still goes through
-	// it), so canonical() converges foreign trees with constW-built nodes.
+	// dominate constW traffic, and a direct index avoids hashing.
 	smallConst [256]*Expr
 }
 
@@ -73,12 +72,6 @@ type appInternKey struct {
 // appTag packs the discriminating scalars of an application-shaped node.
 func appTag(kind ExprKind, op evm.Op, nargs int) uint32 {
 	return uint32(kind)<<16 | uint32(op)<<8 | uint32(nargs)
-}
-
-// envInternKey identifies an environment node.
-type envInternKey struct {
-	env string
-	seq int
 }
 
 const internSlabLen = 128
@@ -151,14 +144,13 @@ func newInterner() *interner {
 	return &interner{
 		apps:   make(map[appInternKey]*Expr),
 		consts: make(map[evm.Word]*Expr),
-		envs:   make(map[envInternKey]*Expr),
 	}
 }
 
 // release drops the lookup structures. The canonical nodes themselves live
 // on in the recorded events.
 func (it *interner) release() {
-	it.apps, it.consts, it.envs = nil, nil, nil
+	it.apps, it.consts = nil, nil
 }
 
 // recycle returns the slab chunks to their pools. Call it only once no
@@ -186,11 +178,6 @@ func (it *interner) recycle() {
 	it.exprSlab, it.wordSlab = nil, nil
 }
 
-// tableLen reports the total number of installed nodes (test hook).
-func (it *interner) tableLen() int {
-	return len(it.apps) + len(it.consts) + len(it.envs)
-}
-
 // assignID gives e the next id and counts the install.
 func (it *interner) assignID(e *Expr) *Expr {
 	it.misses++
@@ -203,26 +190,24 @@ func (it *interner) assignID(e *Expr) *Expr {
 func (it *interner) constW(w evm.Word) *Expr {
 	v, small := w.Uint64()
 	small = small && v < uint64(len(it.smallConst))
+	var e *Expr
 	if small {
-		if e := it.smallConst[v]; e != nil {
-			it.hits++
-			return e
-		}
+		e = it.smallConst[v]
+	} else {
+		e = it.consts[w]
 	}
-	if e, ok := it.consts[w]; ok {
+	if e != nil {
 		it.hits++
-		if small {
-			it.smallConst[v] = e
-		}
 		return e
 	}
-	e := it.newExpr()
+	e = it.newExpr()
 	e.Kind = KindConst
 	e.Conc = it.newWord(w)
 	it.assignID(e)
-	it.consts[w] = e
 	if small {
 		it.smallConst[v] = e
+	} else {
+		it.consts[w] = e
 	}
 	return e
 }
@@ -259,22 +244,16 @@ func (it *interner) csize() *Expr {
 	return e
 }
 
-// env returns the environment node for (label, seq). Sequence numbers are
-// unique per trace, so this always installs; interning it anyway gives the
-// node an id for integer event keys.
-func (it *interner) env(label string, seq int) *Expr {
-	k := envInternKey{env: label, seq: seq}
-	if e, ok := it.envs[k]; ok {
-		it.hits++
-		return e
-	}
+// fresh returns a new environment value labelled label. Its sequence
+// number is unique in the trace, so it never matches an existing node and
+// installs without a lookup; the id gives it an integer event key.
+func (it *interner) fresh(label string) *Expr {
+	it.envSeq++
 	e := it.newExpr()
 	e.Kind = KindEnv
 	e.Env = label
-	e.Seq = seq
-	it.assignID(e)
-	it.envs[k] = e
-	return e
+	e.Seq = it.envSeq
+	return it.assignID(e)
 }
 
 // appKey builds the application key over canonical operands.
@@ -320,53 +299,3 @@ func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
 	it.apps[k] = e
 	return e
 }
-
-// canonical returns the canonical node for an arbitrary expression tree,
-// interning any not-yet-seen structure bottom-up. Already-canonical nodes
-// (id set) return immediately, so on the interned construction path this
-// is a single field test; it only walks for foreign trees (the interning-
-// disabled mode, which still needs ids for event dedup keys).
-func (it *interner) canonical(e *Expr) *Expr {
-	if e.id != 0 {
-		return e
-	}
-	n := len(e.Args)
-	if n > 3 {
-		// Not an internable shape (cannot happen for TASE-built nodes);
-		// give it a unique id so dedup still has a stable key.
-		it.nextID++
-		e.id = it.nextID
-		return e
-	}
-	if e.Kind == KindConst && e.Conc != nil {
-		// Constants key on their value alone; converge with constW
-		// (including its small-value cache).
-		return it.constW(*e.Conc)
-	}
-	if e.Kind == KindEnv {
-		return it.env(e.Env, e.Seq)
-	}
-	k := appInternKey{tag: appTag(e.Kind, e.Op, n)}
-	changed := false
-	var cargs [3]*Expr
-	for i := 0; i < n; i++ {
-		cargs[i] = it.canonical(e.Args[i])
-		changed = changed || cargs[i] != e.Args[i]
-	}
-	k.a0, k.a1, k.a2 = cargs[0], cargs[1], cargs[2]
-	if c, ok := it.apps[k]; ok {
-		it.hits++
-		return c
-	}
-	c := e
-	if changed {
-		c = &Expr{Kind: e.Kind, Conc: e.Conc, Op: e.Op, Env: e.Env, Seq: e.Seq,
-			Args: append([]*Expr(nil), cargs[:n]...)}
-	}
-	it.assignID(c)
-	it.apps[k] = c
-	return c
-}
-
-// idOf returns the canonical id of e, interning it if needed.
-func (it *interner) idOf(e *Expr) uint32 { return it.canonical(e).id }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -59,43 +58,11 @@ func TestInternerAppDoesNotAliasScratch(t *testing.T) {
 	}
 }
 
-func TestInternerCanonicalForeignTree(t *testing.T) {
-	it := newInterner()
-	defer it.release()
-
-	// Build the same structure twice without the interner (the noIntern
-	// mode) and check canonicalization converges to one node with one id.
-	mk := func() *Expr {
-		return NewApp(evm.DIV, NewCData(NewConstUint(0)), NewConstUint(1<<32))
-	}
-	x, y := mk(), mk()
-	if x == y {
-		t.Fatalf("test setup: fresh trees must be distinct pointers")
-	}
-	cx, cy := it.canonical(x), it.canonical(y)
-	if cx != cy {
-		t.Fatalf("canonical() did not converge structurally equal trees")
-	}
-	if it.idOf(x) != it.idOf(y) || it.idOf(x) == 0 {
-		t.Fatalf("idOf mismatch: %d vs %d", it.idOf(x), it.idOf(y))
-	}
-	// A structurally different tree must get a different id.
-	z := NewApp(evm.DIV, NewCData(NewConstUint(4)), NewConstUint(1<<32))
-	if it.idOf(z) == it.idOf(x) {
-		t.Fatalf("distinct structures share an id")
-	}
-	// Interned-built and foreign-built structures converge too.
-	built := it.app(evm.DIV, it.cdata(it.constUint(0)), it.constUint(1<<32))
-	if built != cx {
-		t.Fatalf("interner-built and canonicalized trees diverge")
-	}
-}
-
 func TestInternerReleaseIsolation(t *testing.T) {
 	it := newInterner()
 	first := it.constUint(7)
-	if it.tableLen() == 0 {
-		t.Fatalf("expected a populated table")
+	if it.nextID == 0 {
+		t.Fatalf("expected an installed node")
 	}
 	it.release()
 	it2 := newInterner()
@@ -131,7 +98,7 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 	want := make([]string, len(c.Entries))
 	for i, e := range c.Entries {
 		res, err := RecoverContext(ctx, e.Code, Options{})
-		want[i] = renderResult(res) + fmt.Sprint(err)
+		want[i] = renderResult(res, err)
 	}
 	const workers = 4
 	type held struct {
@@ -153,9 +120,6 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	fn := func(f RecoveredFunction) string {
-		return fmt.Sprintf("%s %v %v %v", f.TypeList(), f.ParamRules, f.Language, f.Truncated)
-	}
 	reference := func(code []byte, sel abi.Selector) RecoveredFunction {
 		tr := TraceFunction(evm.Disassemble(code), sel)
 		d := Infer(tr)
@@ -165,12 +129,12 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 	checked := 0
 	for w := range got {
 		for i, h := range got[w] {
-			if r := renderResult(h.res) + fmt.Sprint(h.err); r != want[i] {
+			if r := renderResult(h.res, h.err); r != want[i] {
 				t.Fatalf("worker %d entry %d: held result diverges\ngot:\n%s\nwant:\n%s", w, i, r, want[i])
 			}
 			for _, f := range h.res.Functions {
-				if ref := reference(c.Entries[i].Code, f.Selector); fn(f) != fn(ref) {
-					t.Fatalf("worker %d entry %d %x: %s, unrecycled trace says %s", w, i, f.Selector, fn(f), fn(ref))
+				if got, ref := renderFunction(f), renderFunction(reference(c.Entries[i].Code, f.Selector)); got != ref {
+					t.Fatalf("worker %d entry %d: %s, unrecycled trace says %s", w, i, got, ref)
 				}
 				checked++
 			}

@@ -40,26 +40,14 @@ func parallelDiffCorpus(t *testing.T) [][]byte {
 }
 
 // synthContracts returns the first n distinct 10-function contracts of
-// synthesized dataset seed 7 (Entries repeat each contract's code once
-// per function).
+// synthesized dataset seed 7.
 func synthContracts(tb testing.TB, n int) [][]byte {
 	tb.Helper()
 	synth, err := corpus.GenerateSynthesized(7)
 	if err != nil {
 		tb.Fatalf("synthesized corpus: %v", err)
 	}
-	seen := make(map[string]bool)
-	var codes [][]byte
-	for _, e := range synth {
-		if k := string(e.Code); !seen[k] {
-			seen[k] = true
-			codes = append(codes, e.Code)
-			if len(codes) == n {
-				break
-			}
-		}
-	}
-	return codes
+	return distinctCodes(synth)[:n]
 }
 
 // runDiffRecovery runs one traced, event-logged recovery and returns
@@ -78,7 +66,7 @@ func runDiffRecovery(t *testing.T, code []byte, workers int, dir string) (render
 	before := ruleFireTotals()
 	res, rerr := RecoverContext(ctx, code, Options{workers: workers, EventLog: w})
 	rec.Finish(res.Truncated, rerr)
-	render = renderResult(res) + fmt.Sprintf("err=%v\n", rerr)
+	render = renderResult(res, rerr)
 	rules = diffRuleFires(before, ruleFireTotals())
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

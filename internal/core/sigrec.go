@@ -41,11 +41,6 @@ type Options struct {
 	// keccak256(code). Cached Results are shared; callers must not mutate
 	// them.
 	Cache *Cache
-	// DisableInterning turns off hash-consed expression construction in
-	// TASE. Recovery results are identical either way (the differential
-	// test enforces it); this exists as an operational escape hatch and
-	// for A/B benchmarking.
-	DisableInterning bool
 	// EventLog, when non-nil, receives one wide event per recovery —
 	// including cache hits, which are marked Cache:"hit" — so the durable
 	// log's totals line up 1:1 with the recovery counters on /metrics.
@@ -77,7 +72,7 @@ func (o Options) selectorWorkers(n int) int {
 // and cancellation channel are computed once per contract so every
 // exploration shares them.
 func (o Options) limits(ctx context.Context) limits {
-	lim := limits{maxSteps: o.StepBudget, maxPaths: o.MaxPaths, noIntern: o.DisableInterning}
+	lim := limits{maxSteps: o.StepBudget, maxPaths: o.MaxPaths}
 	if o.Deadline > 0 {
 		lim.deadline = time.Now().Add(o.Deadline)
 	}

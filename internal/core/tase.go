@@ -39,11 +39,6 @@ type limits struct {
 	// done, when non-nil, cancels the exploration when closed (a
 	// context.Context's Done channel).
 	done <-chan struct{}
-	// noIntern disables hash-consed expression construction (nodes are
-	// still canonicalized lazily for event dedup keys). It exists for the
-	// interning ON/OFF differential test and as an operational escape
-	// hatch; recovery results must be identical either way.
-	noIntern bool
 }
 
 // defaultLimits returns the built-in exploration budgets.
@@ -177,7 +172,6 @@ type tase struct {
 	it         *interner // per-trace hash-consing table
 	events     []Event
 	seen       map[eventID]bool
-	envSeq     int
 	paths      int
 	totSteps   int
 	pruned     int // forks suppressed and worklist states dropped by budgets
@@ -196,11 +190,10 @@ func newTASE(program *Program, selWord *evm.Word, lim limits) *tase {
 // eventID is the dedup key of an Event: expression identity is the interned
 // id, so keying does integer compares instead of recursive string
 // formatting. Pure opcodes carry at most three operands, which bounds the
-// arity (nargs disambiguates the defensive >3 fallback).
+// arity.
 type eventID struct {
 	kind       EventKind
 	op         evm.Op
-	nargs      int8
 	pc         uint64
 	dst        uint64
 	a0, a1, a2 uint32
@@ -428,57 +421,9 @@ func (t *tase) explore(st *state) []*state {
 	return forks
 }
 
-// Interned construction helpers. With interning on (the default), all
-// expression building funnels through the per-trace hash-consing table;
-// the noIntern mode builds fresh nodes exactly as the pre-interner engine
-// did, for the differential test.
-
-func (t *tase) constE(w evm.Word) *Expr {
-	if t.lim.noIntern {
-		return NewConst(w)
-	}
-	return t.it.constW(w)
-}
-
-func (t *tase) constUintE(v uint64) *Expr {
-	if t.lim.noIntern {
-		return NewConstUint(v)
-	}
-	return t.it.constUint(v)
-}
-
-func (t *tase) cdataE(off *Expr) *Expr {
-	if t.lim.noIntern {
-		return NewCData(off)
-	}
-	return t.it.cdata(off)
-}
-
-func (t *tase) csizeE() *Expr {
-	if t.lim.noIntern {
-		return &Expr{Kind: KindCSize}
-	}
-	return t.it.csize()
-}
-
-func (t *tase) appE(op evm.Op, args ...*Expr) *Expr {
-	if t.lim.noIntern {
-		return NewApp(op, args...)
-	}
-	return t.it.appN(op, args)
-}
-
-func (t *tase) fresh(label string) *Expr {
-	t.envSeq++
-	if t.lim.noIntern {
-		return NewEnv(label, t.envSeq)
-	}
-	return t.it.env(label, t.envSeq)
-}
-
 // record deduplicates and stores an event.
 func (t *tase) record(ev Event) {
-	key := t.eventID(ev)
+	key := eventKey(ev)
 	if t.seen[key] {
 		return
 	}
@@ -486,25 +431,25 @@ func (t *tase) record(ev Event) {
 	t.events = append(t.events, ev)
 }
 
-// eventID builds the integer dedup key of an event from interned ids.
-func (t *tase) eventID(ev Event) eventID {
+// eventKey builds the integer dedup key of an event. Every operand is an
+// interned node, so its id is its structural identity.
+func eventKey(ev Event) eventID {
 	switch ev.Kind {
 	case EvCDL:
-		return eventID{kind: EvCDL, pc: ev.PC, a0: t.it.idOf(ev.Off)}
+		return eventID{kind: EvCDL, pc: ev.PC, a0: ev.Off.id}
 	case EvCDC:
-		return eventID{kind: EvCDC, pc: ev.PC, dst: ev.Dst,
-			a0: t.it.idOf(ev.Src), a1: t.it.idOf(ev.Len)}
+		return eventID{kind: EvCDC, pc: ev.PC, dst: ev.Dst, a0: ev.Src.id, a1: ev.Len.id}
 	default:
-		k := eventID{kind: EvOp, op: ev.Op, pc: ev.PC, nargs: int8(len(ev.Args))}
-		for i, a := range ev.Args {
-			switch i {
-			case 0:
-				k.a0 = t.it.idOf(a)
-			case 1:
-				k.a1 = t.it.idOf(a)
-			case 2:
-				k.a2 = t.it.idOf(a)
-			}
+		k := eventID{kind: EvOp, op: ev.Op, pc: ev.PC}
+		switch len(ev.Args) {
+		case 3:
+			k.a2 = ev.Args[2].id
+			fallthrough
+		case 2:
+			k.a1 = ev.Args[1].id
+			fallthrough
+		case 1:
+			k.a0 = ev.Args[0].id
 		}
 		return k
 	}
@@ -543,7 +488,7 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 
 	switch {
 	case op.IsPush():
-		push(t.constE(ins.Arg))
+		push(t.it.constW(ins.Arg))
 	case op.IsDup():
 		n := int(op-evm.DUP1) + 1
 		push(st.stack[len(st.stack)-n])
@@ -634,15 +579,15 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 			off := pop()
 			var val *Expr
 			if v, ok := off.ConstUint(); ok && v == 0 && t.selWord != nil {
-				val = t.constE(*t.selWord)
+				val = t.it.constW(*t.selWord)
 			} else {
-				val = t.cdataE(off)
+				val = t.it.cdata(off)
 				t.record(Event{Kind: EvCDL, PC: ins.PC, Off: off, Val: val, Guards: guardsSnapshot(st)})
 			}
 			push(val)
 
 		case evm.CALLDATASIZE:
-			push(t.csizeE())
+			push(t.it.csize())
 
 		case evm.CALLDATACOPY:
 			dst, src, ln := pop(), pop(), pop()
@@ -668,7 +613,7 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 
 		case evm.SLOAD:
 			pop()
-			push(t.fresh("sload"))
+			push(t.it.fresh("sload"))
 
 		case evm.SSTORE:
 			pop()
@@ -677,16 +622,16 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 		case evm.KECCAK256:
 			pop()
 			pop()
-			push(t.fresh("sha3"))
+			push(t.it.fresh("sha3"))
 
 		case evm.ADDRESS, evm.ORIGIN, evm.CALLER, evm.CALLVALUE, evm.GASPRICE,
 			evm.COINBASE, evm.TIMESTAMP, evm.NUMBER, evm.PREVRANDAO,
 			evm.GASLIMIT, evm.CHAINID, evm.SELFBALANCE, evm.BASEFEE,
 			evm.MSIZE, evm.GAS, evm.RETURNDATASIZE, evm.CODESIZE:
-			push(t.fresh(op.String()))
+			push(t.it.fresh(op.String()))
 
 		case evm.PC:
-			push(t.constUintE(ins.PC))
+			push(t.it.constUint(ins.PC))
 
 		case evm.JUMPDEST:
 			// no-op
@@ -696,7 +641,7 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 
 		case evm.BALANCE, evm.EXTCODESIZE, evm.EXTCODEHASH, evm.BLOCKHASH:
 			pop()
-			push(t.fresh(op.String()))
+			push(t.it.fresh(op.String()))
 
 		case evm.CODECOPY, evm.RETURNDATACOPY:
 			pop()
@@ -713,13 +658,13 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 			for i := 0; i < pops; i++ {
 				pop()
 			}
-			push(t.fresh("create"))
+			push(t.it.fresh("create"))
 
 		case evm.CALL, evm.CALLCODE, evm.DELEGATECALL, evm.STATICCALL:
 			for i := 0; i < pops; i++ {
 				pop()
 			}
-			push(t.fresh("callret"))
+			push(t.it.fresh("callret"))
 
 		case evm.LOG0, evm.LOG0 + 1, evm.LOG0 + 2, evm.LOG0 + 3, evm.LOG4:
 			for i := 0; i < pops; i++ {
@@ -727,34 +672,19 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 			}
 
 		default:
-			// Pure computational opcode: build the application through the
-			// interner. Operands land in a scratch array — on an interner
-			// hit nothing is allocated; the canonical node's own Args
-			// slice backs any recorded event.
+			// Pure computational opcode (every opcode with more than three
+			// operands has its own case above): build the application
+			// through the interner. Operands land in a scratch array — on
+			// an interner hit nothing is allocated; the canonical node's
+			// own Args slice backs any recorded event.
 			var argArr [3]*Expr
-			var e *Expr
-			if pops <= len(argArr) {
-				for i := 0; i < pops; i++ {
-					argArr[i] = pop()
-				}
-				args := argArr[:pops]
-				if t.lim.noIntern {
-					e = NewApp(op, append([]*Expr(nil), args...)...)
-				} else {
-					e = t.it.appN(op, args)
-				}
-				if tainted(args) {
-					t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, Guards: guardsSnapshot(st)})
-				}
-			} else {
-				args := make([]*Expr, pops)
-				for i := 0; i < pops; i++ {
-					args[i] = pop()
-				}
-				e = t.appE(op, args...)
-				if tainted(args) {
-					t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, Guards: guardsSnapshot(st)})
-				}
+			args := argArr[:pops]
+			for i := range args {
+				args[i] = pop()
+			}
+			e := t.it.appN(op, args)
+			if tainted(args) {
+				t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, Guards: guardsSnapshot(st)})
 			}
 			if op.StackPushes() > 0 {
 				push(e)
@@ -802,19 +732,19 @@ func (t *tase) mload(st *state, addr *Expr) *Expr {
 			return v
 		}
 		if cp, hit := findCopy(st.copies, av); hit {
-			off := t.appE(evm.ADD, cp.src, t.constUintE(av-cp.dst))
-			return t.cdataE(off)
+			off := t.it.app(evm.ADD, cp.src, t.it.constUint(av-cp.dst))
+			return t.it.cdata(off)
 		}
-		return t.constE(evm.ZeroWord) // untouched memory reads zero
+		return t.it.constW(evm.ZeroWord) // untouched memory reads zero
 	}
 	// Symbolic address: attribute via the constant component.
 	if base, ok := linearConst(addr).Uint64(); ok {
 		if cp, hit := findCopy(st.copies, base); hit {
-			delta := t.appE(evm.SUB, addr, t.constUintE(cp.dst))
-			return t.cdataE(t.appE(evm.ADD, cp.src, delta))
+			delta := t.it.app(evm.SUB, addr, t.it.constUint(cp.dst))
+			return t.it.cdata(t.it.app(evm.ADD, cp.src, delta))
 		}
 	}
-	return t.fresh("mem")
+	return t.it.fresh("mem")
 }
 
 // findCopy locates the most recent copy region covering the address.

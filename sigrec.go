@@ -43,9 +43,8 @@ type Selector = abi.Selector
 
 // Options bounds and instruments a recovery: TASE step budget, explored-
 // path cap, per-contract wall-clock deadline, an optional shared result
-// cache, and the DisableInterning escape hatch for the hash-consed
-// expression engine. The zero value selects the built-in budgets with
-// interning on.
+// cache and an optional wide-event log. The zero value selects the
+// built-in budgets.
 type Options = core.Options
 
 // Cache is a size-bounded LRU of recovery results keyed by keccak256 of
