@@ -25,8 +25,11 @@ build:
 test:
 	$(GO) test ./...
 
+# ./internal/scan runs RecoverContext concurrently with both a result
+# cache and an event log, so it races the cache-hit half of the engine's
+# per-recovery record.
 race:
-	$(GO) test -race ./internal/core ./internal/evm ./internal/server
+	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan
 
 # Re-record the per-signature golden (internal/core/testdata/
 # signatures.golden) from the current engine and show what moved. `make
@@ -186,7 +189,8 @@ bench:
 # 50us/op — an absolute ceiling: the whole point of the store is that a
 # warm hit costs microseconds, not a recovery. (6) on machines with >=4
 # cores, fail unless the engine's automatic selector fan-out is at least
-# 2x faster than the sequential loop over the multi-selector corpus
+# 2x faster than running the selectors inline (width 1) over the
+# multi-selector corpus
 # (BenchmarkE3ParallelOn/Off in ./internal/core; negative tolerance =
 # demanded improvement); skipped below 4 cores, where the pool cannot
 # express itself. (7) fail when a warm chain rescan (80 deployments, all

@@ -661,7 +661,7 @@ func (rt *Router) handleRecover(w http.ResponseWriter, r *http.Request) {
 	key := keccak.Sum256(code)
 	body := []byte(fmt.Sprintf("0x%x", code))
 	ctx, rec := rt.cfg.Tracer.StartRoot(r.Context(), "route", baseID, parent)
-	res, ok := rt.do(ctx, key, body, baseID, rec, routeTraceID(parent, baseID))
+	res, ok := rt.do(ctx, key, body, baseID, rec, obs.TraceIDFor(parent, baseID))
 	rt.logRequest(r, baseID, res, start)
 	if !ok {
 		rt.m.errors.Inc()
@@ -707,7 +707,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.m.batches.Inc()
 	baseID := clientRequestID(r)
 	parent := rt.extractTraceContext(r)
-	traceID := routeTraceID(parent, baseID)
+	traceID := obs.TraceIDFor(parent, baseID)
 	w.Header().Set("X-Request-Id", baseID)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
@@ -883,17 +883,6 @@ func (rt *Router) extractTraceContext(r *http.Request) obs.SpanContext {
 	sc, result := obs.Extract(r.Header)
 	rt.m.traceContext.With(result).Inc()
 	return sc
-}
-
-// routeTraceID resolves the trace id the whole routed request travels
-// under: the client's when a valid traceparent came in, the deterministic
-// request-id derivation otherwise — the same id StartRoot pins on the
-// route recovery, so router spans, shard spans, and wide events all join.
-func routeTraceID(parent obs.SpanContext, baseID string) string {
-	if parent.Valid() {
-		return parent.TraceID
-	}
-	return obs.DeriveTraceID(baseID)
 }
 
 func writeJSONError(w http.ResponseWriter, status int, msg string) {

@@ -1,36 +1,26 @@
 package core
 
-import (
-	"sigrec/internal/eventlog"
-	"sigrec/internal/evm"
-	"sigrec/internal/obs"
-)
+import "sigrec/internal/evm"
 
 // ExtractSelectors recovers the function ids a contract dispatches on by
 // symbolically executing the dispatcher: every EQ comparison between a
 // 4-byte constant and an expression derived from CALLDATALOAD(0) via
 // DIV/SHR/SHL/AND is a dispatch test (§2.2 of the paper).
 func ExtractSelectors(program *Program) [][4]byte {
-	sels, _ := extractSelectors(program, defaultLimits())
+	t := newTASE(program, nil, defaultLimits()) // selWord nil: the selector stays symbolic
+	sels := extractSelectors(t)
+	meterTASE(t)
 	return sels
 }
 
-// extractSelectors runs the dispatcher exploration under the given limits
-// and additionally reports whether the exploration was truncated (the
-// selector list may then be incomplete).
-func extractSelectors(program *Program, lim limits) ([][4]byte, bool) {
-	return extractSelectorsSpan(program, lim, nil, nil)
-}
-
-// extractSelectorsSpan is extractSelectors with the exploration's counters
-// attached to sp when tracing is on and folded into the recovery's wide
-// event when ev is non-nil.
-func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventlog.Event) ([][4]byte, bool) {
-	t := newTASE(program, nil, lim) // selWord nil: the selector stays symbolic
+// extractSelectors runs the dispatcher walk on t, a fresh engine whose
+// selector is symbolic, and returns the selectors it dispatches on. The
+// caller annotates and folds the finished engine (annotateTASE, and
+// finishTASE or meterTASE); t.trunc reports a truncated walk, whose
+// selector list may be incomplete. The caller builds the engine so that
+// it can stay on the caller's stack.
+func extractSelectors(t *tase) [][4]byte {
 	events := t.run()
-	annotateTASE(sp, t, "")
-	it := t.it
-	finishTASE(t, ev)
 	var out [][4]byte
 	seen := make(map[[4]byte]bool)
 	for _, ev := range events {
@@ -58,8 +48,8 @@ func extractSelectorsSpan(program *Program, lim limits, sp *obs.Span, ev *eventl
 			out = append(out, id)
 		}
 	}
-	it.recycle() // only selector bytes leave the dispatcher walk
-	return out, t.trunc
+	t.it.recycle() // only selector bytes leave the dispatcher walk
+	return out
 }
 
 // isSelectorExpr recognizes expressions that extract the high 4 bytes of

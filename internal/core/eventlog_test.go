@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sigrec/internal/corpus"
@@ -90,4 +93,102 @@ func TestRecoverEmitsWideEvents(t *testing.T) {
 	if got := snap.Histograms["sigrec_recover_duration_microseconds"].Count; got < uint64(len(c.Entries))+1 {
 		t.Fatalf("recovery histogram count = %d, want >= %d", got, len(c.Entries)+1)
 	}
+
+	// The events-off path meters exactly like the events-on path: one
+	// sequence — computed, a cache hit, ErrNoFunctions and a recovery
+	// truncated by StepBudget — moves identical counter and histogram
+	// deltas with and without a log, and those deltas are the logged
+	// run's Analyze totals.
+	code := c.Entries[0].Code
+	mixed := func(log *eventlog.Writer) {
+		opts := Options{Cache: NewCache(8), EventLog: log}
+		for i, in := range [][]byte{code, code, {0x00}} {
+			res, err := RecoverContext(context.Background(), in, opts)
+			if (i < 2) != (err == nil) || (i == 2) != errors.Is(err, ErrNoFunctions) {
+				t.Fatalf("input %d: res %+v, err %v", i, res, err)
+			}
+		}
+		res, err := RecoverContext(context.Background(), code, Options{StepBudget: 60, EventLog: log})
+		if err != nil || !res.Truncated || len(res.Functions) == 0 {
+			t.Fatalf("budgeted recovery: truncated=%v functions=%d err=%v", res.Truncated, len(res.Functions), err)
+		}
+	}
+	off := meterDeltas(func() { mixed(nil) })
+	path = filepath.Join(t.TempDir(), "mixed.ndjson")
+	if w, err = eventlog.New(eventlog.Config{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	on := meterDeltas(func() { mixed(w) })
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(off, on) {
+		t.Fatalf("events off and on meter differently:\noff %v\non  %v", off, on)
+	}
+	if events, _, err = eventlog.ReadLog(path); err != nil {
+		t.Fatal(err)
+	}
+	rep = eventlog.Analyze(events, 0)
+	if rep.CacheHits != 1 || rep.Errors != 1 || rep.Truncated != 1 {
+		t.Fatalf("mixed log: hits=%d errors=%d truncated=%d, want 1 each", rep.CacheHits, rep.Errors, rep.Truncated)
+	}
+	computed := uint64(rep.Events - rep.CacheHits)
+	want := map[string]uint64{
+		"sigrec_recoveries_total":              uint64(rep.Events),
+		"sigrec_recover_errors_total":          uint64(rep.Errors),
+		"sigrec_recoveries_truncated_total":    uint64(rep.Truncated),
+		"sigrec_functions_recovered_total":     uint64(rep.Functions),
+		"sigrec_tase_paths_explored_total":     uint64(rep.Paths),
+		"sigrec_tase_steps_total":              uint64(rep.Steps),
+		"sigrec_recover_duration_microseconds": uint64(rep.Events),
+		"sigrec_phase_disasm_microseconds":     computed,
+		"sigrec_phase_dispatch_microseconds":   computed,
+		"sigrec_phase_explore_microseconds":    computed,
+		"sigrec_phase_infer_microseconds":      computed,
+		"sigrec_cache_hits_total":              uint64(rep.CacheHits),
+	}
+	for rule, n := range rep.RuleFires {
+		want["sigrec_rule_fired_total{rule="+rule+"}"] = n
+	}
+	for name, n := range want {
+		if on[name] != n {
+			t.Errorf("%s moved %d, log says %d", name, on[name], n)
+		}
+	}
+	for name, n := range on {
+		if strings.HasPrefix(name, "sigrec_rule_fired_total") && n != want[name] {
+			t.Errorf("%s moved %d, log says %d", name, n, want[name])
+		}
+	}
+}
+
+// meterDeltas runs fn and returns what it moved in the pipeline
+// telemetry: every non-zero counter and labeled-counter delta
+// (name{label=value}) and every histogram's count delta.
+// sigrec_state_pool_allocs_total is left out: it counts sync.Pool misses,
+// which depend on the garbage collector.
+func meterDeltas(fn func()) map[string]uint64 {
+	before := Metrics().Snapshot()
+	fn()
+	after := Metrics().Snapshot()
+	out := map[string]uint64{}
+	put := func(name string, d uint64) {
+		if d != 0 {
+			out[name] = d
+		}
+	}
+	for name, v := range after.Counters {
+		if name != "sigrec_state_pool_allocs_total" {
+			put(name, v-before.Counters[name])
+		}
+	}
+	for name, lc := range after.LabeledCounters {
+		for val, v := range lc.Values {
+			put(name+"{"+lc.Label+"="+val+"}", v-before.LabeledCounters[name].Values[val])
+		}
+	}
+	for name, h := range after.Histograms {
+		put(name, h.Count-before.Histograms[name].Count)
+	}
+	return out
 }

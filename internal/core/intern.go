@@ -35,7 +35,7 @@ type interner struct {
 	nextID uint32
 	// envSeq numbers the environment nodes of this trace.
 	envSeq int
-	// hits/misses meter the hash-consing effectiveness; finishTASE folds
+	// hits/misses meter the hash-consing effectiveness; meterTASE folds
 	// them into the pipeline telemetry.
 	hits, misses uint64
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"sigrec/internal/eventlog"
 	"sigrec/internal/obs"
 	"sigrec/internal/telemetry"
@@ -98,23 +100,70 @@ var mRuleFired = func() [NumRules + 1]*telemetry.Counter {
 // single run.
 func Metrics() *telemetry.Registry { return tel }
 
-// finishTASE folds one finished exploration into the aggregate counters —
-// and, when a wide event is being built for the recovery, into the event —
-// then retires the engine's interner. Per-trace counts are accumulated
-// locally during exploration and flushed here in one shot, so the hot loop
-// never touches an atomic. ev nil is the events-off path.
-func finishTASE(t *tase, ev *eventlog.Event) {
-	if ev != nil {
-		ev.Paths += int64(t.paths)
-		ev.Steps += int64(t.totSteps)
-		ev.Pruned += int64(t.pruned)
-		if t.it != nil {
-			ev.AddIntern(t.it.hits, t.it.misses)
+// reportRecovery derives everything one recovery reports from its record
+// ev: the recovery counter and latency histogram for every call; the
+// error, truncation and function counters and the four phase histograms
+// for computed recoveries only (a cache hit's result was counted when it
+// was computed, and empty bytecode is rejected before any phase is
+// clocked); and, when the event log is on, the wide event with its
+// rule-fire vector and its sequence number on the trace. The heap copy of
+// ev is made only on that branch, so the events-off path allocates
+// nothing here.
+func reportRecovery(ctx context.Context, ev *eventlog.Event, rules *RuleStats, log *eventlog.Writer) {
+	computed := ev.Cache == ""
+	mRecoveries.Inc()
+	mRecoverUS.ObserveExemplar(uint64(ev.DurUS), ev.RequestID)
+	if computed {
+		if ev.Error != "" {
+			mRecoverErrors.Inc()
 		}
-		if t.trunc && ev.TruncCause == "" {
-			ev.TruncCause = t.truncationCause()
+		if ev.Truncated {
+			mTruncated.Inc()
+		}
+		mFunctions.Add(uint64(ev.Functions))
+		if ev.CodeBytes > 0 {
+			mDisasmUS.Observe(uint64(ev.DisasmUS))
+			mDispatchUS.Observe(uint64(ev.DispatchUS))
+			mExploreUS.Observe(uint64(ev.ExploreUS))
+			mInferUS.Observe(uint64(ev.InferUS))
 		}
 	}
+	if log == nil {
+		return
+	}
+	out := *ev
+	for r := 1; computed && r <= NumRules; r++ {
+		if n := rules[r]; n > 0 {
+			if out.RuleFires == nil {
+				out.RuleFires = make(map[string]uint64, 4)
+			}
+			out.RuleFires[RuleID(r).String()] = n
+		}
+	}
+	if seq := log.Emit(&out); seq != 0 {
+		obs.FromContext(ctx).SetEventSeq(seq)
+	}
+}
+
+// finishTASE folds one finished exploration into the recovery's record ev
+// and into the aggregate counters. It runs on the recovery's goroutine, in
+// selector order, so ev's first-wins TruncCause is the same at every
+// fan-out width.
+func finishTASE(t *tase, ev *eventlog.Event) {
+	ev.Paths += int64(t.paths)
+	ev.Steps += int64(t.totSteps)
+	ev.Pruned += int64(t.pruned)
+	ev.AddIntern(t.it.hits, t.it.misses)
+	if t.trunc && ev.TruncCause == "" {
+		ev.TruncCause = t.truncationCause()
+	}
+	meterTASE(t)
+}
+
+// meterTASE flushes one finished exploration's counters into the pipeline
+// telemetry. Per-trace counts are accumulated locally during exploration
+// and flushed here in one shot, so the hot loop never touches an atomic.
+func meterTASE(t *tase) {
 	mPathsExplored.Add(uint64(t.paths))
 	mPathsPruned.Add(uint64(t.pruned))
 	mTASESteps.Add(uint64(t.totSteps))
@@ -124,13 +173,9 @@ func finishTASE(t *tase, ev *eventlog.Event) {
 	if t.trunc {
 		mTruncCause.With(t.truncationCause()).Inc()
 	}
-	if t.it != nil {
-		mInternHits.Add(t.it.hits)
-		mInternMisses.Add(t.it.misses)
-		if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {
-			mInternHitRate.Set(int64(mInternHits.Load() * 1000 / total))
-		}
-		t.it.release()
-		t.it = nil
+	mInternHits.Add(t.it.hits)
+	mInternMisses.Add(t.it.misses)
+	if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {
+		mInternHitRate.Set(int64(mInternHits.Load() * 1000 / total))
 	}
 }

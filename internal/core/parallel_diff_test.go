@@ -201,7 +201,7 @@ func TestSelectorWorkersResolution(t *testing.T) {
 }
 
 // benchE3Parallel recovers 8 ten-function contracts end to end. Off
-// (workers=1) is the sequential loop; On leaves the fan-out to the engine
+// (workers=1) runs the worker body inline; On leaves the fan-out to the engine
 // (min(GOMAXPROCS, selectors)). `make bench-gate` requires On to be at
 // least 2x faster than Off on machines with >=4 cores; on fewer cores the
 // pair still records the overhead of the pool itself.

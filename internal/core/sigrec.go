@@ -49,17 +49,19 @@ type Options struct {
 	// workers overrides the per-selector fan-out width. Every caller
 	// outside this package leaves it 0, which selects selectorWorkers'
 	// automatic rule; the package's differential tests set it to pin the
-	// sequential path (1) and the fan-out path (> 1) on any machine.
+	// inline width (1) and a goroutine width (> 1) on any machine. Both
+	// run the same worker body and merge loop.
 	workers int
 }
 
 // selectorWorkers resolves the fan-out width for a contract with n
 // selectors. Each selector is an independent TASE exploration over the
 // immutable Program, so the engine runs min(GOMAXPROCS, n) of them at
-// once, never fewer than one: a single selector or GOMAXPROCS=1 takes the
-// sequential loop. Results, rule-fire counter deltas, span trees and
-// wide events are identical either way — explorations are merged in
-// selector order (TestParallelDifferential enforces it).
+// once, never fewer than one: a single selector or GOMAXPROCS=1 runs the
+// worker body inline on the caller's goroutine. Results, rule-fire
+// counter deltas, span trees and wide events are identical at every width
+// — one merge loop folds the outcomes in selector order
+// (TestParallelDifferential enforces it).
 func (o Options) selectorWorkers(n int) int {
 	w := o.workers
 	if w <= 0 {
@@ -132,82 +134,37 @@ func Recover(code []byte) (Result, error) {
 // telemetry (see Metrics).
 func RecoverContext(ctx context.Context, code []byte, opts Options) (Result, error) {
 	start := time.Now()
-	sc := eventlog.ScopeFromContext(ctx)
-	var requestID string
-	if sc != nil {
-		requestID = sc.RequestID
+	// ev is the recovery's one record, filled whether the result is
+	// computed or a cache hit and whether the event log is on or off;
+	// reportRecovery derives the counters, histograms and wide event from
+	// it.
+	ev := eventlog.Event{CodeBytes: len(code)}
+	if sc := eventlog.ScopeFromContext(ctx); sc != nil {
+		ev.RequestID, ev.TraceID, ev.QueueUS = sc.RequestID, sc.TraceID, sc.QueueUS
 	}
+	var (
+		res Result
+		err error
+		hit bool
+	)
 	if opts.Cache != nil {
-		if res, err, ok := opts.Cache.lookup(code); ok {
-			rec := obs.FromContext(ctx)
-			rec.SetStr("cache", "hit")
-			mRecoveries.Inc()
-			us := uint64(time.Since(start).Microseconds())
-			mRecoverUS.ObserveExemplar(us, requestID)
-			if opts.EventLog != nil {
-				ev := &eventlog.Event{
-					RequestID: requestID,
-					DurUS:     int64(us),
-					CodeBytes: len(code),
-					Functions: len(res.Functions),
-					Truncated: res.Truncated,
-					Cache:     "hit",
-				}
-				if sc != nil {
-					ev.QueueUS = sc.QueueUS
-					ev.TraceID = sc.TraceID
-				}
-				if err != nil {
-					ev.Error = err.Error()
-				}
-				if seq := opts.EventLog.Emit(ev); seq != 0 {
-					rec.SetEventSeq(seq)
-				}
-			}
-			return res, err
+		res, err, hit = opts.Cache.lookup(code)
+	}
+	if hit {
+		ev.Cache = "hit"
+		obs.FromContext(ctx).SetStr("cache", "hit")
+	} else {
+		res, err = recoverUncached(ctx, code, opts, &ev)
+		if opts.Cache != nil && cacheable(res, err) {
+			opts.Cache.store(code, res, err)
 		}
 	}
-	var ev *eventlog.Event
-	if opts.EventLog != nil {
-		ev = &eventlog.Event{RequestID: requestID, CodeBytes: len(code)}
-		if sc != nil {
-			ev.QueueUS = sc.QueueUS
-			ev.TraceID = sc.TraceID
-		}
-	}
-	res, err := recoverUncached(ctx, code, opts, ev)
-	if opts.Cache != nil && cacheable(res, err) {
-		opts.Cache.store(code, res, err)
-	}
-	mRecoveries.Inc()
+	ev.DurUS = time.Since(start).Microseconds()
+	ev.Functions, ev.Truncated = len(res.Functions), res.Truncated
 	if err != nil {
-		mRecoverErrors.Inc()
+		ev.Error = err.Error()
 	}
-	if res.Truncated {
-		mTruncated.Inc()
-	}
-	mFunctions.Add(uint64(len(res.Functions)))
-	us := uint64(time.Since(start).Microseconds())
-	mRecoverUS.ObserveExemplar(us, requestID)
-	if ev != nil {
-		ev.DurUS = int64(us)
-		ev.Functions = len(res.Functions)
-		ev.Truncated = res.Truncated
-		if err != nil {
-			ev.Error = err.Error()
-		}
-		for r := 1; r <= NumRules; r++ {
-			if n := res.Rules[r]; n > 0 {
-				if ev.RuleFires == nil {
-					ev.RuleFires = make(map[string]uint64, 4)
-				}
-				ev.RuleFires[RuleID(r).String()] = n
-			}
-		}
-		if seq := opts.EventLog.Emit(ev); seq != 0 {
-			obs.FromContext(ctx).SetEventSeq(seq)
-		}
-	}
+	reportRecovery(ctx, &ev, &res.Rules, opts.EventLog)
 	return res, err
 }
 
@@ -220,6 +177,8 @@ func hexSelector(sel [4]byte) string {
 	return string(b[:])
 }
 
+// recoverUncached computes one recovery, filling ev's phase timings,
+// selector count and exploration counters.
 func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlog.Event) (Result, error) {
 	if len(code) == 0 {
 		return Result{}, errors.New("core: empty bytecode")
@@ -250,87 +209,30 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	}
 
 	ssp := rec.SpanAt("dispatch", now)
-	selectors, dispTrunc := extractSelectorsSpan(program, lim, ssp, ev)
+	t := newTASE(program, nil, lim) // selWord nil: the selector stays symbolic
+	selectors := extractSelectors(t)
+	annotateTASE(ssp, t, "")
+	finishTASE(t, ev)
 	t2 := time.Now()
 	if ssp != nil {
 		ssp.SetInt("selectors", int64(len(selectors)))
-		now = rec.NowUS()
-		ssp.EndAt(now)
+		ssp.EndAt(rec.NowUS())
 	}
-	disasmD, dispatchD := t1.Sub(t0), t2.Sub(t1)
-	var exploreD, inferD time.Duration
-	recordPhases := func() {
-		mDisasmUS.Observe(uint64(disasmD.Microseconds()))
-		mDispatchUS.Observe(uint64(dispatchD.Microseconds()))
-		mExploreUS.Observe(uint64(exploreD.Microseconds()))
-		mInferUS.Observe(uint64(inferD.Microseconds()))
-		if ev != nil {
-			ev.DisasmUS = disasmD.Microseconds()
-			ev.DispatchUS = dispatchD.Microseconds()
-			ev.ExploreUS = exploreD.Microseconds()
-			ev.InferUS = inferD.Microseconds()
-			ev.Selectors = len(selectors)
-		}
-	}
+	ev.DisasmUS, ev.DispatchUS = t1.Sub(t0).Microseconds(), t2.Sub(t1).Microseconds()
+	ev.Selectors = len(selectors)
+	res := Result{Truncated: t.trunc}
 	if len(selectors) == 0 {
-		recordPhases()
-		return Result{Truncated: dispTrunc}, ErrNoFunctions
+		return res, ErrNoFunctions
 	}
-	res := Result{Truncated: dispTrunc}
-	if workers := opts.selectorWorkers(len(selectors)); workers > 1 {
-		recoverSelectorsParallel(&res, program, selectors, lim, workers, rec, ev, &exploreD, &inferD)
-		recordPhases()
-		return res, nil
-	}
-	for _, sel := range selectors {
-		// Explore and infer are sibling spans per selector, tied together
-		// by the selector attribute (one hex string shared by both).
-		var selHex string
-		if rec != nil {
-			selHex = hexSelector(sel)
-		}
-		p0 := time.Now()
-		esp := rec.SpanAt("explore", now)
-		tr := traceFunctionSpan(program, sel, lim, esp, selHex, ev)
-		p1 := time.Now()
-		if esp != nil {
-			now = rec.NowUS()
-			esp.EndAt(now)
-		}
-		isp := rec.SpanAt("infer", now)
-		d := inferRecycled(tr)
-		p2 := time.Now()
-		if isp != nil {
-			isp.SetAttrs(
-				obs.Attr{Key: "selector", Str: selHex},
-				obs.Attr{Key: "params", Num: int64(len(d.Types))},
-				obs.Attr{Key: "rule_hits", Num: int64(d.Stats.Total())},
-			)
-			now = rec.NowUS()
-			isp.EndAt(now)
-		}
-		exploreD += p1.Sub(p0)
-		inferD += p2.Sub(p1)
-		res.Rules.Add(d.Stats)
-		res.Functions = append(res.Functions, RecoveredFunction{
-			Selector:   abi.Selector(sel),
-			Inputs:     d.Types,
-			ParamRules: d.ParamRules,
-			Language:   d.Language,
-			Truncated:  tr.Truncated,
-		})
-		res.Truncated = res.Truncated || tr.Truncated
-	}
-	recordPhases()
+	recoverSelectors(&res, program, selectors, lim, opts.selectorWorkers(len(selectors)), rec, ev)
 	return res, nil
 }
 
-// selOutcome carries one worker's explore+infer output to the merge loop,
-// including the raw timestamps needed to build the explore/infer span pair
-// post-hoc with real start/end times.
+// selOutcome carries one selector's explore+infer output from the worker
+// body to the merge loop, including the raw timestamps needed to build the
+// explore/infer span pair post-hoc with real start/end times.
 type selOutcome struct {
 	t              *tase
-	tr             Trace
 	inf            Inferred
 	exploreStartUS int64
 	exploreEndUS   int64
@@ -339,52 +241,73 @@ type selOutcome struct {
 	inferD         time.Duration
 }
 
-// recoverSelectorsParallel fans explore+infer out over a bounded worker
-// pool, then merges in selector order. Everything a worker touches is
-// either goroutine-confined (the TASE engine, its interner, the inference
-// pass over its own trace) or already concurrency-safe (telemetry atomics,
-// the sync.Pools, obs.Recovery.NowUS). Everything that is order-sensitive
-// — span construction, finishTASE's wide-event accumulation and its
-// first-wins TruncCause, Functions append, RuleStats totals — happens in
-// the merge loop, so the output is indistinguishable from the sequential
-// path.
-func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte, lim limits, workers int, rec *obs.Recovery, ev *eventlog.Event, exploreD, inferD *time.Duration) {
-	outs := make([]selOutcome, len(selectors))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selectors) {
-					return
+// exploreInfer is the per-selector worker body: explore, then infer over
+// the trace and recycle its slabs. It touches only goroutine-confined
+// state (the TASE engine, its interner, the inference pass over its own
+// trace) or concurrency-safe state (telemetry atomics, the sync.Pools,
+// obs.Recovery.NowUS).
+func exploreInfer(program *Program, sel [4]byte, lim limits, rec *obs.Recovery) (o selOutcome) {
+	o.exploreStartUS = rec.NowUS()
+	p0 := time.Now()
+	tr, t := traceFunctionEngine(program, sel, lim)
+	p1 := time.Now()
+	o.exploreEndUS = rec.NowUS()
+	o.t, o.inf = t, inferRecycled(tr)
+	p2 := time.Now()
+	o.inferEndUS = rec.NowUS()
+	o.exploreD, o.inferD = p1.Sub(p0), p2.Sub(p1)
+	return o
+}
+
+// recoverSelectors explores and infers every selector, then merges the
+// outcomes in selector order. With one worker the worker body runs inline
+// on the caller's goroutine; with more, that many goroutines pull
+// selectors off a shared counter. Everything order-sensitive — span
+// construction, finishTASE's wide-event accumulation and its first-wins
+// TruncCause, the Functions append, RuleStats totals — happens in the one
+// merge loop, so the output is the same at every width
+// (TestParallelDifferential enforces it).
+func recoverSelectors(res *Result, program *Program, selectors [][4]byte, lim limits, workers int, rec *obs.Recovery, ev *eventlog.Event) {
+	// A one-selector contract, the common case, keeps its outcome on the
+	// stack; the goroutines write to a separate slice so that it can.
+	var one [1]selOutcome
+	outs := one[:]
+	if workers > 1 {
+		shared := make([]selOutcome, len(selectors))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(selectors); i = int(next.Add(1)) - 1 {
+					shared[i] = exploreInfer(program, selectors[i], lim, rec)
 				}
-				o := &outs[i]
-				o.exploreStartUS = rec.NowUS()
-				p0 := time.Now()
-				o.tr, o.t = traceFunctionEngine(program, selectors[i], lim)
-				p1 := time.Now()
-				o.exploreEndUS = rec.NowUS()
-				o.inf = inferRecycled(o.tr)
-				p2 := time.Now()
-				o.inferEndUS = rec.NowUS()
-				o.exploreD = p1.Sub(p0)
-				o.inferD = p2.Sub(p1)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+		outs = shared
+	} else {
+		if len(selectors) > 1 {
+			outs = make([]selOutcome, len(selectors))
+		}
+		for i, sel := range selectors {
+			outs[i] = exploreInfer(program, sel, lim, rec)
+		}
 	}
-	wg.Wait()
+	var exploreD, inferD time.Duration
 	for i := range outs {
 		o := &outs[i]
 		var selHex string
 		if rec != nil {
 			selHex = hexSelector(selectors[i])
-			esp := rec.SpanAt("explore", o.exploreStartUS)
-			annotateTASE(esp, o.t, selHex)
-			esp.EndAt(o.exploreEndUS)
-			isp := rec.SpanAt("infer", o.exploreEndUS)
+		}
+		// Explore and infer are sibling spans per selector, tied together
+		// by the selector attribute (one hex string shared by both).
+		esp := rec.SpanAt("explore", o.exploreStartUS)
+		annotateTASE(esp, o.t, selHex)
+		esp.EndAt(o.exploreEndUS)
+		if isp := rec.SpanAt("infer", o.exploreEndUS); isp != nil {
 			isp.SetAttrs(
 				obs.Attr{Key: "selector", Str: selHex},
 				obs.Attr{Key: "params", Num: int64(len(o.inf.Types))},
@@ -393,18 +316,19 @@ func recoverSelectorsParallel(res *Result, program *Program, selectors [][4]byte
 			isp.EndAt(o.inferEndUS)
 		}
 		finishTASE(o.t, ev)
-		*exploreD += o.exploreD
-		*inferD += o.inferD
+		exploreD += o.exploreD
+		inferD += o.inferD
 		res.Rules.Add(o.inf.Stats)
 		res.Functions = append(res.Functions, RecoveredFunction{
 			Selector:   abi.Selector(selectors[i]),
 			Inputs:     o.inf.Types,
 			ParamRules: o.inf.ParamRules,
 			Language:   o.inf.Language,
-			Truncated:  o.tr.Truncated,
+			Truncated:  o.t.trunc,
 		})
-		res.Truncated = res.Truncated || o.tr.Truncated
+		res.Truncated = res.Truncated || o.t.trunc
 	}
+	ev.ExploreUS, ev.InferUS = exploreD.Microseconds(), inferD.Microseconds()
 }
 
 // inferRecycled is Infer over a trace the pipeline owns, followed by

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"sigrec/internal/eventlog"
 	"sigrec/internal/evm"
 	"sigrec/internal/obs"
 )
@@ -235,10 +234,8 @@ func annotateTASE(sp *obs.Span, t *tase, selHex string) {
 		obs.Attr{Key: "steps", Num: int64(t.totSteps)},
 		obs.Attr{Key: "pruned", Num: int64(t.pruned)},
 	)
-	if t.it != nil {
-		if total := t.it.hits + t.it.misses; total > 0 {
-			attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.it.hits * 1000 / total)})
-		}
+	if total := t.it.hits + t.it.misses; total > 0 {
+		attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.it.hits * 1000 / total)})
 	}
 	if cause := t.truncationCause(); cause != "" {
 		attrs = append(attrs, obs.Attr{Key: "truncated", Str: cause})
@@ -307,6 +304,11 @@ func (t *tase) run() []Event {
 			t.releaseState(st)
 		}
 	}
+	// The dedup set and the interner's lookup tables are dead once
+	// exploration ends; dropping them here keeps them out of the live heap
+	// while the trace waits for inference and the merge.
+	t.seen = nil
+	t.it.release()
 	return t.events
 }
 
@@ -764,36 +766,20 @@ func findCopy(copies []memCopy, addr uint64) (memCopy, bool) {
 
 // TraceFunction symbolically executes the contract as if called with the
 // given selector and returns the observed events, under the default
-// exploration budgets.
+// exploration budgets. The exploration's counters are reported into the
+// pipeline telemetry.
 func TraceFunction(program *Program, selector [4]byte) Trace {
-	return traceFunction(program, selector, defaultLimits())
-}
-
-// traceFunction is TraceFunction under caller-supplied limits; it also
-// reports exploration counters into the pipeline telemetry and recycles
-// the engine's interner.
-func traceFunction(program *Program, selector [4]byte, lim limits) Trace {
-	return traceFunctionSpan(program, selector, lim, nil, "", nil)
-}
-
-// traceFunctionSpan is traceFunction with the exploration's counters
-// (selector, paths, steps, intern hit rate, truncation cause) attached to
-// sp when tracing is on and folded into the recovery's wide event when ev
-// is non-nil; sp/ev nil is the zero-cost untraced path.
-func traceFunctionSpan(program *Program, selector [4]byte, lim limits, sp *obs.Span, selHex string, ev *eventlog.Event) Trace {
-	tr, t := traceFunctionEngine(program, selector, lim)
-	annotateTASE(sp, t, selHex)
-	finishTASE(t, ev)
+	tr, t := traceFunctionEngine(program, selector, defaultLimits())
+	meterTASE(t)
 	return tr
 }
 
-// traceFunctionEngine runs the exploration and returns the finished engine
-// alongside the trace, leaving span annotation and counter folding to the
-// caller. The parallel per-selector path uses this: workers explore
-// concurrently (the engine is goroutine-confined), and the merge loop
-// calls annotateTASE/finishTASE in deterministic selector order so span
-// trees, telemetry, and wide-event accumulation are byte-identical to the
-// sequential run.
+// traceFunctionEngine runs one per-selector exploration and returns the
+// finished engine alongside the trace, leaving span annotation and counter
+// folding (annotateTASE, finishTASE) to the caller. The recovery pipeline
+// explores on its selector workers and does both in its merge loop, in
+// selector order, so span trees, telemetry and the wide event are the same
+// at every fan-out width.
 func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace, *tase) {
 	var b [32]byte
 	copy(b[:], selector[:])

@@ -42,7 +42,9 @@ type Report struct {
 	// offline log affords exactness; /metrics approximates).
 	Quantiles LatencyQuantiles `json:"latency_quantiles"`
 
-	// Phases aggregates the per-phase duration columns.
+	// Phases aggregates the per-phase duration columns over the computed
+	// recoveries of non-empty bytecode, the ones the sigrec_phase_*
+	// histograms observe; cache hits carry no phase timings.
 	Phases []PhaseStat `json:"phases,omitempty"`
 
 	// Rules attributes latency and exploration effort per rule: over the
@@ -163,6 +165,15 @@ func Analyze(events []Event, topK int) *Report {
 			r.Selectors += int64(ev.Selectors)
 			r.Paths += ev.Paths
 			r.Steps += ev.Steps
+			// Phases, like the /metrics phase histograms, cover only the
+			// computed recoveries that ran them: a hit or an empty input
+			// would add a zero-length sample to every phase.
+			if ev.CodeBytes > 0 {
+				phaseOf("disasm", ev.DisasmUS)
+				phaseOf("dispatch", ev.DispatchUS)
+				phaseOf("explore", ev.ExploreUS)
+				phaseOf("infer", ev.InferUS)
+			}
 		}
 		switch ms := ev.DurUS / 1000; {
 		case ms < 1:
@@ -174,10 +185,6 @@ func Analyze(events []Event, topK int) *Report {
 		default:
 			r.LatencyBuckets.Over100ms++
 		}
-		phaseOf("disasm", ev.DisasmUS)
-		phaseOf("dispatch", ev.DispatchUS)
-		phaseOf("explore", ev.ExploreUS)
-		phaseOf("infer", ev.InferUS)
 		for rule, n := range ev.RuleFires {
 			r.RuleFires[rule] += n
 			a := rules[rule]

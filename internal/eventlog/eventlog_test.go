@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -406,6 +407,32 @@ func TestAnalyze(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("text report missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestAnalyzePhasesSkipHits checks that phase statistics cover only the
+// computed recoveries, as the /metrics phase histograms do: a rescan that
+// is nearly all cache hits must not drag the phase p95s to zero.
+func TestAnalyzePhasesSkipHits(t *testing.T) {
+	var events []Event
+	for i := 0; i < 2; i++ {
+		events = append(events, Event{DurUS: 1_000, CodeBytes: 500,
+			DisasmUS: 100, DispatchUS: 200, ExploreUS: 300, InferUS: 400})
+	}
+	for i := 0; i < 98; i++ {
+		events = append(events, Event{DurUS: 5, CodeBytes: 500, Cache: "hit"})
+	}
+	// Empty bytecode is rejected before any phase runs.
+	events = append(events, Event{DurUS: 1, Error: "core: empty bytecode"})
+	r := Analyze(events, 0)
+	want := []PhaseStat{
+		{Name: "disasm", SumUS: 200, P95US: 100},
+		{Name: "dispatch", SumUS: 400, P95US: 200},
+		{Name: "explore", SumUS: 600, P95US: 300},
+		{Name: "infer", SumUS: 800, P95US: 400},
+	}
+	if !reflect.DeepEqual(r.Phases, want) {
+		t.Fatalf("phases = %+v, want %+v", r.Phases, want)
 	}
 }
 

@@ -396,10 +396,12 @@ func (t *Tracer) StartRoot(ctx context.Context, name, requestID string, parent S
 	}
 	r := &Recovery{tracer: t, requestID: requestID, start: time.Now()}
 	if parent.Valid() {
-		r.traceID = parent.TraceID
 		r.parentSpanID = parent.SpanID
-	} else if requestID != "" {
-		r.traceID = DeriveTraceID(requestID)
+	}
+	// An anonymous fresh root gets its trace id at Finish, seeded by its
+	// start time (TraceSeed).
+	if parent.Valid() || requestID != "" {
+		r.traceID = TraceIDFor(parent, requestID)
 	}
 	// The root fans out to every per-selector span pair, so pre-size its
 	// child list past append's 1/2/4 growth steps.

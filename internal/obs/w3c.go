@@ -185,6 +185,18 @@ func DeriveTraceID(seed string) string {
 	return hex.EncodeToString(h[:16])
 }
 
+// TraceIDFor is the one rule for the trace id a request travels under:
+// its valid parent's when a traceparent was adopted, otherwise the
+// deterministic derivation from its request id. The tracer's root span,
+// the serving layer's wide events, the router's attempts and the scanner
+// all resolve it here, so every telemetry surface joins on the same id.
+func TraceIDFor(parent SpanContext, requestID string) string {
+	if parent.Valid() {
+		return parent.TraceID
+	}
+	return DeriveTraceID(requestID)
+}
+
 // DeriveSpanID maps a globally unique name (a router attempt id) onto an
 // 8-byte span id as lowercase hex. Because the id is a pure function of
 // the name, the router can put it in an outbound traceparent before the

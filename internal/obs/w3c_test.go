@@ -137,6 +137,14 @@ func TestDeriveIDs(t *testing.T) {
 	if !sc.Valid() {
 		t.Fatalf("derived ids not valid: %+v", sc)
 	}
+	// TraceIDFor continues a valid parent's trace and otherwise derives.
+	if got := TraceIDFor(sc, "other"); got != tid {
+		t.Fatalf("TraceIDFor(valid parent) = %q, want the parent's %q", got, tid)
+	}
+	bad := SpanContext{TraceID: tid, SpanID: "zz"}
+	if got := TraceIDFor(bad, "client-43"); got != DeriveTraceID("client-43") {
+		t.Fatalf("TraceIDFor(invalid parent) = %q, want the derived id", got)
+	}
 	if got, ok := ParseTraceparent(sc.Traceparent()); !ok || got.TraceID != tid || got.SpanID != sid {
 		t.Fatalf("derived ids did not survive the wire: %+v ok=%v", got, ok)
 	}

@@ -439,9 +439,10 @@ func (s *Scanner) process(ctx context.Context, it workItem) {
 	reqID := fmt.Sprintf("scan-b%08d-t%04d", it.block, it.tx)
 	var sc *eventlog.Scope
 	ctx, sc = eventlog.NewContext(ctx, reqID)
-	// The deterministic request-id derivation links the scan's wide event
-	// to its span tree — `sigrec-trace` and /debug/trace join on it.
-	sc.TraceID = obs.DeriveTraceID(reqID)
+	// A scan has no inbound parent, so its trace id is the request-id
+	// derivation, which links the scan's wide event to its span tree —
+	// `sigrec-trace` and /debug/trace join on it.
+	sc.TraceID = obs.TraceIDFor(obs.SpanContext{}, reqID)
 	ctx, rec := s.cfg.Tracer.StartRecovery(ctx, reqID)
 	// The root span carries the deployment's chain coordinates and the
 	// time it sat queued between ingest and this worker — the span-tree

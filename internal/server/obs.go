@@ -68,18 +68,6 @@ func extractTraceContext(r *http.Request) obs.SpanContext {
 	return sc
 }
 
-// requestTraceID resolves the trace id a request's recoveries (and wide
-// events) carry: the inbound parent's when one was adopted, the
-// deterministic request-id derivation otherwise — the same id the tracer
-// stamps on the flight-recorder record, so all three telemetry surfaces
-// join on it.
-func requestTraceID(parent obs.SpanContext, requestID string) string {
-	if parent.Valid() {
-		return parent.TraceID
-	}
-	return obs.DeriveTraceID(requestID)
-}
-
 // newRequestID returns 16 random hex characters.
 func newRequestID() string {
 	var b [8]byte
@@ -117,11 +105,15 @@ func (s *Server) logRequest(r *http.Request, requestID string, status int, start
 // handleSlowest serves the flight recorder: the span trees of the slowest
 // and the budget-truncated recoveries, JSON-encoded.
 func (s *Server) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled (start the server with a Tracer)")
+	serveSlowest(w, s.cfg.Tracer)
+}
+
+func serveSlowest(w http.ResponseWriter, tracer *obs.Tracer) {
+	if tracer == nil {
+		writeError(w, http.StatusNotFound, "tracing disabled (start with -trace-slowest > 0)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Tracer.Recorder().Snapshot())
+	writeJSON(w, http.StatusOK, tracer.Recorder().Snapshot())
 }
 
 // --- GET /debug/events ---
@@ -213,11 +205,7 @@ func DebugHandler(opts DebugOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/slowest", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			writeError(w, http.StatusNotFound, "tracing disabled")
-			return
-		}
-		writeJSON(w, http.StatusOK, opts.Tracer.Recorder().Snapshot())
+		serveSlowest(w, opts.Tracer)
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		serveEventTail(w, r, opts.Events)

@@ -346,7 +346,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	// trace; a malformed one starts a fresh root, never an error.
 	parent := extractTraceContext(r)
 	ctx, sc := eventlog.NewContext(r.Context(), requestID)
-	sc.TraceID = requestTraceID(parent, requestID)
+	sc.TraceID = obs.TraceIDFor(parent, requestID)
 	ctx, _ = s.cfg.Tracer.StartRoot(ctx, "recovery", requestID, parent)
 	res, err := s.recoverItem(ctx, code, false)
 	switch {
@@ -388,7 +388,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	parent := extractTraceContext(r)
-	traceID := requestTraceID(parent, requestID)
+	traceID := obs.TraceIDFor(parent, requestID)
 	ctx := r.Context()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
