@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sigrec/internal/benchgate"
 	"sigrec/internal/corpus"
 	"sigrec/internal/obs"
 	"sigrec/internal/server"
@@ -24,15 +25,15 @@ func benchCode(base []byte, i int) string {
 	return fmt.Sprintf("0x%x", code)
 }
 
-func benchEntry(b *testing.B) []byte {
-	b.Helper()
+func benchEntry(tb testing.TB) []byte {
+	tb.Helper()
 	// The largest 10-function synthesized contract in the corpus: the
 	// recovery is a realistic multi-millisecond unit of work, so the
 	// measured delta between direct and proxied isolates the router hop
 	// as a fraction of real serving latency rather than of HTTP noise.
 	entries, err := corpus.GenerateSynthesized(17)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	code := entries[0].Code
 	for _, e := range entries {
@@ -43,84 +44,80 @@ func benchEntry(b *testing.B) []byte {
 	return code
 }
 
-func benchShard(b *testing.B) *httptest.Server {
-	b.Helper()
+func benchShard(tb testing.TB) *httptest.Server {
+	tb.Helper()
 	srv := server.New(server.Config{Workers: 4, QueueDepth: 256, CacheEntries: 1 << 16})
 	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
+	tb.Cleanup(ts.Close)
 	return ts
 }
 
-func runRecoverBench(b *testing.B, url string, base []byte) {
-	b.Helper()
+// benchRouted starts a shard behind a single-shard sigrec-router with the
+// given tracer (nil disables the span machinery; the outbound traceparent
+// is still injected — that is unconditional) and returns the router's URL.
+func benchRouted(tb testing.TB, tracer *obs.Tracer) string {
+	tb.Helper()
+	shard := benchShard(tb)
+	rt, err := NewRouter(Config{Shards: []ShardAddr{{ID: "s1", URL: shard.URL}}, Tracer: tracer})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	tb.Cleanup(front.Close)
+	return front.URL
+}
+
+// recoverOp returns one request of the router gates: a full recovery of
+// a fresh input posted to url.
+func recoverOp(tb testing.TB, url string, base []byte) func() {
 	client := &http.Client{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		resp, err := client.Post(url+"/v1/recover", "text/plain", strings.NewReader(benchCode(base, i)))
+		i++
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
+			tb.Fatalf("status %d", resp.StatusCode)
 		}
 	}
 }
 
-// BenchmarkRouterOverheadDirect is the A side of the router-overhead A/B:
-// full recoveries straight against one sigrecd serving layer.
-func BenchmarkRouterOverheadDirect(b *testing.B) {
-	runRecoverBench(b, benchShard(b).URL, benchEntry(b))
+// routerGateOps is how many requests (about 10ms each) each side of a
+// router gate sends per round.
+const routerGateOps = 40
+
+// BenchmarkGateRouterOverhead holds full recoveries through sigrec-router
+// within 10% of the same recoveries sent straight to the shard: the
+// router hop must stay noise next to a real recovery.
+func BenchmarkGateRouterOverhead(b *testing.B) {
+	base := benchEntry(b)
+	benchgate.Pair(b, routerGateOps, 0.10,
+		recoverOp(b, benchShard(b).URL, base), recoverOp(b, benchRouted(b, nil), base))
 }
 
-// BenchmarkRouterOverheadProxied is the B side: the same recoveries with
-// sigrec-router in front of the single shard. The bench-gate holds the
-// proxied ns/op within 10% of direct — the router hop must stay noise
-// next to a real recovery.
-func BenchmarkRouterOverheadProxied(b *testing.B) {
-	shard := benchShard(b)
-	rt, err := NewRouter(Config{Shards: []ShardAddr{{ID: "s1", URL: shard.URL}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rt.Close)
-	front := httptest.NewServer(rt.Handler())
-	b.Cleanup(front.Close)
-	runRecoverBench(b, front.URL, benchEntry(b))
+// TestAllocsRouterTracing and BenchmarkGateRouterTracing isolate the
+// router's span machinery (route root, decide span, attempt span,
+// recorder retention) as a fraction of real serving latency, the way the
+// E3 pairs gate the shard's: the span tree is a fixed handful of
+// allocations next to a recovery's thousands. The traced side records
+// into a recorder sized to retain the whole run.
+func TestAllocsRouterTracing(t *testing.T) {
+	base := benchEntry(t)
+	benchgate.Allocs(t, 10, 0.10,
+		recoverOp(t, benchRouted(t, nil), base),
+		recoverOp(t, benchRouted(t, obs.New(obs.Config{Slowest: 4096})), base))
 }
 
-// benchTracedRouter routes full recoveries through a single-shard router
-// with the given tracer — nil for the A side, a live recorder for the B
-// side — so the pair isolates the router's span machinery (route root,
-// decide span, attempt span, recorder retention) as a fraction of real
-// serving latency.
-func benchTracedRouter(b *testing.B, tracer *obs.Tracer) {
-	shard := benchShard(b)
-	rt, err := NewRouter(Config{Shards: []ShardAddr{{ID: "s1", URL: shard.URL}}, Tracer: tracer})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(rt.Close)
-	front := httptest.NewServer(rt.Handler())
-	b.Cleanup(front.Close)
-	runRecoverBench(b, front.URL, benchEntry(b))
-}
-
-// BenchmarkRouterTracingOff is the A side of the router-tracing A/B:
-// routed recoveries with the span machinery disabled (the outbound
-// traceparent is still injected — that is unconditional).
-func BenchmarkRouterTracingOff(b *testing.B) {
-	benchTracedRouter(b, nil)
-}
-
-// BenchmarkRouterTracingOn is the B side: every routed request records a
-// full span tree into a recorder sized to retain the whole run. The
-// bench-gate holds On within 10% of Off on allocs/op and 25% on mean
-// ns/op — router tracing must stay noise next to a recovery.
-func BenchmarkRouterTracingOn(b *testing.B) {
-	benchTracedRouter(b, obs.New(obs.Config{Slowest: 4096}))
+func BenchmarkGateRouterTracing(b *testing.B) {
+	base := benchEntry(b)
+	benchgate.Pair(b, routerGateOps, 0.25,
+		recoverOp(b, benchRouted(b, nil), base),
+		recoverOp(b, benchRouted(b, obs.New(obs.Config{Slowest: 4096})), base))
 }

@@ -160,6 +160,19 @@ func TestRecoverEmitsWideEvents(t *testing.T) {
 			t.Errorf("%s moved %d, log says %d", name, n, want[name])
 		}
 	}
+	// The cause counter counts recoveries, as the log does, not
+	// explorations: its causes sum to the truncated recoveries.
+	causes, sum := map[string]int{}, uint64(0)
+	for name, n := range on {
+		if cause, ok := strings.CutPrefix(name, "sigrec_truncations_total{cause="); ok {
+			causes[strings.TrimSuffix(cause, "}")] = int(n)
+			sum += n
+		}
+	}
+	if !reflect.DeepEqual(causes, rep.TruncCauses) || sum != on["sigrec_recoveries_truncated_total"] {
+		t.Errorf("truncation causes moved %v (sum %d) over %d truncated recoveries, log says %v",
+			causes, sum, on["sigrec_recoveries_truncated_total"], rep.TruncCauses)
+	}
 }
 
 // meterDeltas runs fn and returns what it moved in the pipeline

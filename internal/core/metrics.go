@@ -20,7 +20,7 @@ func init() {
 	obs.RegisterBuildInfo(tel)
 	obs.RegisterRuntimeMetrics(tel)
 	tel.SetHelp("sigrec_rule_fired_total", "Inference-rule applications by rule (R1-R31, the paper's Fig. 19 live)")
-	tel.SetHelp("sigrec_truncations_total", "Budget-truncated TASE explorations by cause")
+	tel.SetHelp("sigrec_truncations_total", "Budget-truncated recoveries by the cause of their first truncated exploration")
 	tel.SetHelp("sigrec_build_info", "Build identity; constant 1")
 	tel.SetHelp("sigrec_recover_duration_microseconds", "Whole-contract recovery latency; the Fig. 17 buckets end at le 1000, 10000, 100000")
 	tel.SetHelp("sigrec_phase_disasm_microseconds", "Disassembly phase latency per recovery")
@@ -77,7 +77,8 @@ var (
 	mStateGets     = tel.Counter("sigrec_state_pool_gets_total")
 	mStateAllocs   = tel.Counter("sigrec_state_pool_allocs_total")
 
-	// mTruncCause breaks truncations down by which budget was hit.
+	// mTruncCause breaks truncated recoveries down by which budget was
+	// hit first; its causes sum to mTruncated.
 	mTruncCause = tel.CounterVec("sigrec_truncations_total", "cause")
 )
 
@@ -102,10 +103,10 @@ func Metrics() *telemetry.Registry { return tel }
 
 // reportRecovery derives everything one recovery reports from its record
 // ev: the recovery counter and latency histogram for every call; the
-// error, truncation and function counters and the four phase histograms
-// for computed recoveries only (a cache hit's result was counted when it
-// was computed, and empty bytecode is rejected before any phase is
-// clocked); and, when the event log is on, the wide event with its
+// error, truncation, truncation-cause and function counters and the four
+// phase histograms for computed recoveries only (a cache hit's result was
+// counted when it was computed, and empty bytecode is rejected before any
+// phase is clocked); and, when the event log is on, the wide event with its
 // rule-fire vector and its sequence number on the trace. The heap copy of
 // ev is made only on that branch, so the events-off path allocates
 // nothing here.
@@ -119,6 +120,7 @@ func reportRecovery(ctx context.Context, ev *eventlog.Event, rules *RuleStats, l
 		}
 		if ev.Truncated {
 			mTruncated.Inc()
+			mTruncCause.With(ev.TruncCause).Inc()
 		}
 		mFunctions.Add(uint64(ev.Functions))
 		if ev.CodeBytes > 0 {
@@ -170,9 +172,6 @@ func meterTASE(t *tase) {
 	mEvents.Add(uint64(len(t.events)))
 	mStateGets.Add(t.stateGets)
 	mCloneBytes.Add(t.cloneBytes)
-	if t.trunc {
-		mTruncCause.With(t.truncationCause()).Inc()
-	}
 	mInternHits.Add(t.it.hits)
 	mInternMisses.Add(t.it.misses)
 	if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sigrec/internal/benchgate"
 	"sigrec/internal/corpus"
 	"sigrec/internal/eventlog"
 	"sigrec/internal/obs"
@@ -200,25 +201,28 @@ func TestSelectorWorkersResolution(t *testing.T) {
 	}
 }
 
-// benchE3Parallel recovers 8 ten-function contracts end to end. Off
-// (workers=1) runs the worker body inline; On leaves the fan-out to the engine
-// (min(GOMAXPROCS, selectors)). `make bench-gate` requires On to be at
-// least 2x faster than Off on machines with >=4 cores; on fewer cores the
-// pair still records the overhead of the pool itself.
-func benchE3Parallel(b *testing.B, workers int) {
-	codes := synthContracts(b, 8)
+// e3Parallel returns one operation of the fan-out gate: recover 8
+// ten-function contracts end to end. workers=1 runs the worker body
+// inline; 0 leaves the fan-out to the engine (min(GOMAXPROCS, selectors)).
+func e3Parallel(tb testing.TB, workers int) func() {
+	codes := synthContracts(tb, 8)
 	opts := Options{workers: workers}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for _, code := range codes {
 			res, err := RecoverContext(context.Background(), code, opts)
 			if err != nil || len(res.Functions) == 0 {
-				b.Fatal("recovery failed")
+				tb.Fatal("recovery failed")
 			}
 		}
 	}
 }
 
-func BenchmarkE3ParallelOff(b *testing.B) { benchE3Parallel(b, 1) }
-func BenchmarkE3ParallelOn(b *testing.B)  { benchE3Parallel(b, 0) }
+// BenchmarkGateE3Parallel requires the engine's automatic selector
+// fan-out to be at least 2x faster than running the selectors inline. It
+// skips below 4 cores, where the pool cannot express itself.
+func BenchmarkGateE3Parallel(b *testing.B) {
+	if n := runtime.NumCPU(); n < 4 {
+		b.Skipf("%d cores < 4", n)
+	}
+	benchgate.Pair(b, 10, -0.5, e3Parallel(b, 1), e3Parallel(b, 0))
+}

@@ -199,7 +199,8 @@ type eventID struct {
 }
 
 // truncationCause names the budget that cut the exploration short, for
-// span attributes and the sigrec_truncations_total{cause=...} counter.
+// span attributes and the recovery's first-wins TruncCause, which the
+// sigrec_truncations_total{cause=...} counter reads.
 // Empty when the exploration completed.
 func (t *tase) truncationCause() string {
 	switch {

@@ -21,11 +21,11 @@ type FlatSpan struct {
 }
 
 // FlattenRecord flattens one finished record's span tree in preorder,
-// assigning the exact ids the OTLP exporter would: explicit span ids
-// (SetSpanID) win, every other span derives positionally via
-// DeriveSpanIDAt. The root span carries the record-level identity
-// attributes (sigrec.request_id, sigrec.event_seq, sigrec.truncated) and
-// the record error, mirroring the exported form. Nil-safe.
+// which is also the form the OTLP exporter converts to wire spans:
+// explicit span ids (SetSpanID) win, every other span derives
+// positionally via DeriveSpanIDAt. The root span carries the record-level
+// identity attributes (sigrec.request_id, sigrec.event_seq,
+// sigrec.truncated) and the record error. Nil-safe.
 func FlattenRecord(rec *Record, service string) []FlatSpan {
 	if rec == nil || rec.Root == nil {
 		return nil

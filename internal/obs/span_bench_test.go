@@ -9,8 +9,8 @@ import (
 // typical traced recovery — the same tree shape the pipeline produces for
 // a 10-selector contract (disassemble + dispatch + explore/infer per
 // selector, batched attributes). This is the per-contract overhead that
-// the `make bench-gate` tracing A/B gate bounds end to end; iterate here
-// when chasing it down.
+// the E3 tracing gates (TestAllocsE3Tracing, BenchmarkGateE3Tracing)
+// bound end to end; iterate here when chasing it down.
 func BenchmarkRecoveryTree(b *testing.B) {
 	tr := New(Config{})
 	b.ReportAllocs()

@@ -22,79 +22,41 @@ func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
 // and ParentSpanID; spans with a pinned id (obs.SetSpanID — router
 // attempt spans whose id travels in the outbound traceparent) keep it.
 
-// spansFromRecord flattens one finished recovery's span tree into OTLP
-// wire spans. Wall-clock timestamps are reconstructed from the recovery's
-// start plus the spans' monotonic microsecond offsets, so the exported
-// tree preserves exactly the offsets the flight recorder shows.
+// spansFromRecord converts one finished recovery's span tree, as
+// obs.FlattenRecord flattens it, into OTLP wire spans: the same preorder
+// ids (root first, which the reconciliation e2e counts on — span index 0
+// of a batch item is its root), wall-clock bounds and root identity
+// attributes. The wire form carries the truncation flag as a boolean and
+// the record error as the root's span status.
 func spansFromRecord(rec *obs.Record) []wireSpan {
-	if rec == nil || rec.Root == nil {
-		return nil
-	}
-	seed := obs.TraceSeed(rec.RequestID, rec.Start)
-	tid := rec.TraceID
-	if tid == "" {
-		tid = obs.DeriveTraceID(seed)
-	}
-	baseNano := rec.Start.UnixNano()
-	c := &spanConv{seed: seed, tid: tid, baseNano: baseNano}
-	root := c.convert(rec.Root, rec.ParentSpanID)
-	// The root span carries the recovery-level identity: request id,
-	// event-log join key, truncation flag, error status.
-	if rec.RequestID != "" {
-		root.Attributes = append(root.Attributes, strAttr("sigrec.request_id", rec.RequestID))
-	}
-	if rec.EventSeq != 0 {
-		root.Attributes = append(root.Attributes, intAttr("sigrec.event_seq", int64(rec.EventSeq)))
-	}
-	if rec.Truncated {
-		root.Attributes = append(root.Attributes, boolAttr("sigrec.truncated", true))
-	}
-	if rec.Error != "" {
-		root.Status = &spanStatus{Code: statusError, Message: rec.Error}
-	}
-	return c.out
-}
-
-// spanConv carries the per-record conversion state: ids are assigned in
-// preorder, and the output slice is preorder too (root first), which the
-// reconciliation e2e counts on — span index 0 of a batch item is its root.
-type spanConv struct {
-	seed     string
-	tid      string
-	baseNano int64
-	index    int
-	out      []wireSpan
-}
-
-func (c *spanConv) convert(s *obs.Span, parentID string) *wireSpan {
-	id := s.SpanID
-	if id == "" {
-		id = obs.DeriveSpanIDAt(c.seed, c.baseNano, c.index)
-	}
-	c.index++
-	start := c.baseNano + s.StartUS*1000
-	ws := wireSpan{
-		TraceID:           c.tid,
-		SpanID:            id,
-		ParentSpanID:      parentID,
-		Name:              s.Name,
-		Kind:              spanKindInternal,
-		StartTimeUnixNano: formatInt(start),
-		EndTimeUnixNano:   formatInt(start + s.DurUS*1000),
-	}
-	for _, a := range s.Attrs {
-		if a.Str != "" {
-			ws.Attributes = append(ws.Attributes, strAttr(a.Key, a.Str))
-		} else {
-			ws.Attributes = append(ws.Attributes, intAttr(a.Key, a.Num))
+	flat := obs.FlattenRecord(rec, "")
+	out := make([]wireSpan, len(flat))
+	for i, s := range flat {
+		ws := wireSpan{
+			TraceID:           s.TraceID,
+			SpanID:            s.SpanID,
+			ParentSpanID:      s.ParentSpanID,
+			Name:              s.Name,
+			Kind:              spanKindInternal,
+			StartTimeUnixNano: formatInt(s.StartUnixNano),
+			EndTimeUnixNano:   formatInt(s.EndUnixNano),
 		}
+		for _, a := range s.Attrs {
+			switch {
+			case a.Str != "":
+				ws.Attributes = append(ws.Attributes, strAttr(a.Key, a.Str))
+			case a.Key == "sigrec.truncated":
+				ws.Attributes = append(ws.Attributes, boolAttr(a.Key, true))
+			default:
+				ws.Attributes = append(ws.Attributes, intAttr(a.Key, a.Num))
+			}
+		}
+		if s.Error != "" {
+			ws.Status = &spanStatus{Code: statusError, Message: s.Error}
+		}
+		out[i] = ws
 	}
-	c.out = append(c.out, ws)
-	at := len(c.out) - 1
-	for _, child := range s.Children {
-		c.convert(child, id)
-	}
-	return &c.out[at]
+	return out
 }
 
 // buildTracesRequest wraps the spans of a batch of records in one

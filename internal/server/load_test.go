@@ -86,8 +86,8 @@ func TestBatchLoadSmoke(t *testing.T) {
 // the full HTTP stack: a mixed set of contracts with the shared cache
 // enabled, so steady state exercises the serving layer (routing,
 // admission, coalescing, cache hit) rather than TASE. ns/op is wall time
-// per request across the parallel clients; cmd/benchjson derives
-// req_per_sec = 1e9 / ns_per_op.
+// per request across the parallel clients, so requests per second are
+// 1e9 / ns_per_op.
 func BenchmarkServerThroughput(b *testing.B) {
 	sigs := []string{
 		"transfer(address,uint256)",
