@@ -281,6 +281,29 @@ func TestAllocsE3TimeDistribution(t *testing.T) {
 	}
 }
 
+// TestAllocsRecoverCorpus holds a whole RecoverContext, dispatcher walk
+// included, under a fixed ceiling over the E1 corpus (seed 1, 2,150
+// one-function contracts): 10% over the 117 allocs per contract it
+// was recorded at. The E3 gate above counts RecoverFunction alone, so only
+// this gate sees a walk that re-enters function bodies.
+func TestAllocsRecoverCorpus(t *testing.T) {
+	const ceiling = 128
+	c, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(2, func() {
+		for _, e := range c.Entries {
+			if _, err := core.RecoverContext(context.Background(), e.Code, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(c.Entries))
+	if got > ceiling {
+		t.Errorf("RecoverContext makes %.1f allocs per contract over E1, above the %d ceiling", got, ceiling)
+	}
+}
+
 func TestAllocsE3Tracing(t *testing.T) {
 	benchgate.Allocs(t, e3AllocRuns, 0.10, e3Traced(t, nil), e3Traced(t, obs.New(obs.Config{})))
 }

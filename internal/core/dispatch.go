@@ -3,9 +3,12 @@ package core
 import "sigrec/internal/evm"
 
 // ExtractSelectors recovers the function ids a contract dispatches on by
-// symbolically executing the dispatcher: every EQ comparison between a
-// 4-byte constant and an expression derived from CALLDATALOAD(0) via
-// DIV/SHR/SHL/AND is a dispatch test (§2.2 of the paper).
+// symbolically executing the dispatcher (§2.2 of the paper): every EQ,
+// SUB or XOR of a 4-byte constant with an expression derived from
+// CALLDATALOAD(0) via DIV/SHR/SHL/AND is a dispatch test (SUB and XOR are
+// zero exactly on a match). The walk stops at function entries: it
+// follows an EQ test's branch to the next test and never enters the body
+// behind it.
 func ExtractSelectors(program *Program) [][4]byte {
 	t := newTASE(program, nil, defaultLimits()) // selWord nil: the selector stays symbolic
 	sels := extractSelectors(t)
@@ -15,41 +18,68 @@ func ExtractSelectors(program *Program) [][4]byte {
 
 // extractSelectors runs the dispatcher walk on t, a fresh engine whose
 // selector is symbolic, and returns the selectors it dispatches on. The
-// caller annotates and folds the finished engine (annotateTASE, and
-// finishTASE or meterTASE); t.trunc reports a truncated walk, whose
-// selector list may be incomplete. The caller builds the engine so that
-// it can stay on the caller's stack.
+// walk forks at every symbolic branch except an EQ selector test (see
+// selectorTest), so it covers binary-search splits and the fallback but
+// leaves function bodies to the per-selector explorations. The caller
+// annotates and folds the finished engine (annotateTASE, and finishTASE or
+// meterTASE); t.trunc reports a truncated walk, whose selector list may
+// be incomplete. The caller builds the engine so that it can stay on the
+// caller's stack.
 func extractSelectors(t *tase) [][4]byte {
 	events := t.run()
 	var out [][4]byte
 	seen := make(map[[4]byte]bool)
 	for _, ev := range events {
-		if ev.Kind != EvOp || ev.Op != evm.EQ {
+		if ev.Kind != EvOp {
 			continue
 		}
-		c, sel := ev.Args[0], ev.Args[1]
-		if c.Conc == nil {
-			c, sel = sel, c
-		}
-		if c.Conc == nil || !isSelectorExpr(sel) {
+		switch ev.Op {
+		case evm.EQ, evm.SUB, evm.XOR:
+		default:
 			continue
 		}
-		v, ok := c.ConstUint()
-		if !ok || v > 0xffffffff {
-			continue
-		}
-		var id [4]byte
-		id[0] = byte(v >> 24)
-		id[1] = byte(v >> 16)
-		id[2] = byte(v >> 8)
-		id[3] = byte(v)
-		if !seen[id] {
+		id, ok := selectorCompare(ev.Args)
+		if ok && !seen[id] {
 			seen[id] = true
 			out = append(out, id)
 		}
 	}
 	t.it.recycle() // only selector bytes leave the dispatcher walk
 	return out
+}
+
+// selectorCompare decodes the operands of a dispatch comparison: a
+// constant that fits in four bytes against a selector expression, in
+// either order. It returns the constant as a function id.
+func selectorCompare(args []*Expr) ([4]byte, bool) {
+	if len(args) != 2 {
+		return [4]byte{}, false
+	}
+	c, sel := args[0], args[1]
+	if c.Conc == nil {
+		c, sel = sel, c
+	}
+	v, ok := c.ConstUint()
+	if !ok || v > 0xffffffff || !isSelectorExpr(sel) {
+		return [4]byte{}, false
+	}
+	return [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}, true
+}
+
+// selectorTest reports whether a symbolic JUMPI condition is a
+// dispatcher's selector test, EQ(id, selector) or its negation
+// ISZERO(EQ(id, selector)), and if so whether the jump (rather than the
+// fall-through) leads on to the next test. The other side is the
+// function's entry.
+func selectorTest(cond *Expr) (jumpToNext, ok bool) {
+	if cond.Kind == KindApp && cond.Op == evm.ISZERO {
+		cond, jumpToNext = cond.Args[0], true
+	}
+	if cond.Kind != KindApp || cond.Op != evm.EQ {
+		return false, false
+	}
+	_, ok = selectorCompare(cond.Args)
+	return jumpToNext, ok
 }
 
 // isSelectorExpr recognizes expressions that extract the high 4 bytes of

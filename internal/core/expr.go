@@ -35,6 +35,10 @@ type Expr struct {
 	// trace, equal ids imply structural equality, so event dedup compares
 	// integers instead of rendered strings.
 	id uint32
+	// cdata is the call-data taint of an interned node, set at install from
+	// the node's own kind and its (canonical) operands' bits, so
+	// ContainsCData never re-walks the tree. It sits in id's padding.
+	cdata bool
 	// str caches the canonical rendering; expressions are immutable, so
 	// the first String() call fills it and later calls are free.
 	str string
@@ -214,14 +218,24 @@ func (e *Expr) render(b *strings.Builder, depth int) {
 	}
 }
 
-// ContainsCData reports whether the value depends on the call data.
+// ContainsCData reports whether the value depends on the call data. An
+// interned node answers from its taint bit; a node built outside an
+// interner walks its operands.
 func (e *Expr) ContainsCData() bool {
+	if e.id != 0 {
+		return e.cdata
+	}
+	return containsCDataTree(e)
+}
+
+// containsCDataTree is ContainsCData by a plain walk of the operand tree.
+func containsCDataTree(e *Expr) bool {
 	switch e.Kind {
 	case KindCData:
 		return true
 	case KindApp:
 		for _, a := range e.Args {
-			if a.ContainsCData() {
+			if containsCDataTree(a) {
 				return true
 			}
 		}

@@ -253,41 +253,42 @@ type claim struct {
 	rules []RuleID
 }
 
-// classify performs coarse inference (head layout) and then fine inference
-// per parameter, returning the types and per-parameter rule trails.
-func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
-	claimed := make(map[uint64]bool) // head offsets already absorbed
-	var claims []claim
-	addClaim := func(cl claim) {
-		for o := cl.off; o < cl.off+cl.size; o += 32 {
-			claimed[o] = true
+// claimedBy reports whether head offset off is already absorbed by a claim:
+// it lies inside one, 32-byte aligned to the claim's start. Claims are few
+// (one per recovered parameter) while a static array can span millions of
+// slots, so the claims stay intervals instead of being expanded per slot.
+func claimedBy(claims []claim, off uint64) bool {
+	for _, cl := range claims {
+		if off >= cl.off && off-cl.off < cl.size && (off-cl.off)%32 == 0 {
+			return true
 		}
-		claims = append(claims, cl)
 	}
+	return false
+}
+
+// classify performs coarse inference (head layout) and then fine inference
+// per parameter, returning the types and per-parameter rule trails. Each
+// stage sees the claims of the stages before it, not its own.
+func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
+	var claims []claim
 
 	// 1. Dynamic parameters: head slots whose loaded value is dereferenced.
 	derefed := inf.derefedHeadSlots()
 	for _, off := range derefed {
 		inf.beginParam()
 		typ := inf.classifyDynamic(off)
-		addClaim(claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
+		claims = append(claims, claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
 	}
 
 	// 2. Static arrays copied in public mode (constant-source CALLDATACOPY).
-	for _, cl := range inf.staticPublicArrays(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.staticPublicArrays(claims)...)
 
 	// 3. Static arrays read in external mode (pc-grouped constant loads
 	//    under constant bound checks).
-	for _, cl := range inf.staticExternalArrays(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.staticExternalArrays(claims)...)
 
 	// 4. Remaining constant head reads are basic values.
-	for _, cl := range inf.basicClaims(claimed) {
-		addClaim(cl)
-	}
+	claims = append(claims, inf.basicClaims(claims)...)
 
 	slices.SortFunc(claims, func(a, b claim) int { return cmp.Compare(a.off, b.off) })
 	types := make([]abi.Type, 0, len(claims))
@@ -387,7 +388,7 @@ func buildStaticArray(dims []uint64, elem abi.Type) abi.Type {
 }
 
 // staticPublicArrays recognizes rule R6/R9 claims.
-func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
+func (inf *inference) staticPublicArrays(claims []claim) []claim {
 	type group struct {
 		minSrc uint64
 		ev     Event
@@ -414,7 +415,7 @@ func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
 	var out []claim
 	for _, pc := range order {
 		g := groups[pc]
-		if claimed[g.minSrc] {
+		if claimedBy(claims, g.minSrc) {
 			continue
 		}
 		inf.beginParam()
@@ -445,7 +446,7 @@ func (inf *inference) staticPublicArrays(claimed map[uint64]bool) []claim {
 // staticExternalArrays recognizes rule R3 (and Vyper R24) claims: the same
 // CALLDATALOAD instruction observed at multiple constant offsets, guarded by
 // constant bound checks.
-func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
+func (inf *inference) staticExternalArrays(claims []claim) []claim {
 	type group struct {
 		offs []uint64
 		ev   Event
@@ -476,7 +477,7 @@ func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
 		}
 		slices.Sort(g.offs)
 		base := g.offs[0]
-		if claimed[base] {
+		if claimedBy(claims, base) {
 			continue
 		}
 		inf.beginParam()
@@ -504,12 +505,12 @@ func (inf *inference) staticExternalArrays(claimed map[uint64]bool) []claim {
 
 // basicClaims turns the remaining constant head reads into basic values
 // (rule R4 for Solidity, R25 for Vyper).
-func (inf *inference) basicClaims(claimed map[uint64]bool) []claim {
+func (inf *inference) basicClaims(claims []claim) []claim {
 	seen := make(map[uint64]bool)
 	var out []claim
 	for _, ev := range inf.cdls {
 		off, ok := ev.Off.ConstUint()
-		if !ok || off < 4 || claimed[off] || seen[off] {
+		if !ok || off < 4 || claimedBy(claims, off) || seen[off] {
 			continue
 		}
 		seen[off] = true

@@ -225,6 +225,7 @@ func (it *interner) cdata(off *Expr) *Expr {
 	e := it.newExpr()
 	e.Kind = KindCData
 	e.Args = it.ownArgs([]*Expr{off})
+	e.cdata = true
 	it.assignID(e)
 	it.apps[k] = e
 	return e
@@ -294,6 +295,9 @@ func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
 	e.Args = it.ownArgs(args)
 	if w, ok := foldArgs(op, args); ok {
 		e.Conc = it.newWord(w)
+	}
+	for _, a := range args {
+		e.cdata = e.cdata || a.ContainsCData()
 	}
 	it.assignID(e)
 	it.apps[k] = e

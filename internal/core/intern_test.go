@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -156,5 +157,56 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 			e.Seq != 0 || e.id != 0 || e.str != "" {
 			t.Fatalf("node %d of a recycled chunk is not zeroed: %+v", i, *e)
 		}
+	}
+}
+
+// TestInternedTaintMatchesTreeWalk: the call-data taint bit the interner
+// sets at install equals a plain walk of the operand tree, for every node
+// the golden corpora's explorations install (E1 seed 1 and dataset 2 seed
+// 1: each contract's dispatcher walk and each declared function's trace).
+// The check reads the interner's slabs, not the recorded events, because
+// which events get recorded depends on the bit itself.
+func TestInternedTaintMatchesTreeWalk(t *testing.T) {
+	e1, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, tainted int
+	check := func(it *interner) {
+		for c := it.exprChunks; c != nil; c = c.next {
+			for i := range c.nodes {
+				e := &c.nodes[i]
+				if e.id == 0 {
+					continue // slab slot not carved yet
+				}
+				nodes++
+				want := containsCDataTree(e)
+				if got := e.ContainsCData(); got != want {
+					t.Fatalf("%s: taint bit %v, tree walk %v", e, got, want)
+				}
+				if want {
+					tainted++
+				}
+			}
+		}
+		it.recycle()
+	}
+	walked := make(map[string]bool)
+	for _, e := range slices.Concat(e1.Entries, synth) {
+		program := evm.Disassemble(e.Code)
+		if !walked[string(e.Code)] {
+			walked[string(e.Code)] = true
+			walk := newTASE(program, nil, defaultLimits())
+			walk.run()
+			check(walk.it)
+		}
+		check(TraceFunction(program, e.Sig.Selector()).it)
+	}
+	if tainted == 0 || tainted == nodes {
+		t.Fatalf("checked %d nodes, %d tainted: the corpora should yield both kinds", nodes, tainted)
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 // deepNestedCode compiles an E4-style deep nested-array contract:
 // dimension 20, inner widths of width, outer dimension 2 (Fig. 18's sweep
-// shape). width 1 recovers fully in well under a millisecond; width 2 is
-// pathological (hundreds of milliseconds unbounded).
+// shape). width 1 recovers fully in well under a millisecond; width 2 has
+// 2^20 static head slots and is the pathological case for anything that
+// grows with them.
 func deepNestedCode(t testing.TB, width int) ([]byte, abi.Signature) {
 	t.Helper()
 	ty := abi.Uint(256)
@@ -60,10 +61,12 @@ func TestStepBudgetTruncatesDeepNestedArray(t *testing.T) {
 }
 
 func TestDeadlineBoundsPathologicalContract(t *testing.T) {
-	// Width-2 nesting at dimension 20 runs for hundreds of milliseconds
-	// unbounded; under a short deadline the recovery must return promptly
-	// (deadline checks fire every few hundred symbolic steps) with a
-	// partial, Truncated result instead of stalling a batch.
+	// Width-2 nesting at dimension 20 once ran for ~350 ms unbounded, most
+	// of it expanding the array's 2^20 head slots one map entry at a time;
+	// with claims kept as intervals it takes a few milliseconds. Under a
+	// short deadline the recovery must still return promptly (deadline
+	// checks fire every few hundred symbolic steps) with a partial,
+	// Truncated result instead of stalling a batch.
 	code, _ := deepNestedCode(t, 2)
 	deadline := 2 * time.Millisecond
 	start := time.Now()
@@ -79,6 +82,62 @@ func TestDeadlineBoundsPathologicalContract(t *testing.T) {
 	// detector and loaded CI machines.
 	if limit := 20 * deadline; elapsed > limit {
 		t.Errorf("recovery took %v, want <= %v", elapsed, limit)
+	}
+}
+
+// TestDeadlineSweep: across deadlines from 2 to 50 ms the pathological
+// contract's recovery ends within 20x the deadline. A term that grows with
+// the input and does not poll the deadline (as the per-slot claim map
+// did) overruns the longer deadlines first.
+func TestDeadlineSweep(t *testing.T) {
+	code, _ := deepNestedCode(t, 2)
+	for _, ms := range []int{2, 5, 10, 20, 50} {
+		deadline := time.Duration(ms) * time.Millisecond
+		start := time.Now()
+		if _, err := RecoverContext(context.Background(), code, Options{Deadline: deadline}); err != nil {
+			t.Fatalf("%v deadline: %v", deadline, err)
+		}
+		if elapsed, limit := time.Since(start), 20*deadline; elapsed > limit {
+			t.Errorf("%v deadline: recovery took %v, want <= %v", deadline, elapsed, limit)
+		}
+	}
+}
+
+// TestDeadlineKeepsArrayType: a deadline that cuts a large external static
+// array's exploration short still returns the array, flagged Truncated.
+// The dispatcher walk stops at the selector test, so the deadline is spent
+// on the function's own exploration, whose first loop iteration already
+// shows the bound check.
+func TestDeadlineKeepsArrayType(t *testing.T) {
+	sig, err := abi.ParseSignature("f(uint256[1024])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := solc.Compile(solc.Contract{Functions: []solc.Function{
+		{Sig: sig, Mode: solc.External},
+	}}, solc.Config{Version: solc.DefaultVersion()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unbounded, the recovery takes about 9 ms on a 2-vCPU VM.
+	deadline := 5 * time.Millisecond
+	start := time.Now()
+	res, err := RecoverContext(context.Background(), code, Options{Deadline: deadline})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Functions) != 1 {
+		t.Fatalf("recovered %d functions, want 1", len(res.Functions))
+	}
+	f := res.Functions[0]
+	if got, want := f.TypeList(), sig.TypeList(); got != want {
+		t.Errorf("recovered %s, want %s", got, want)
+	}
+	// A host fast enough to finish inside the deadline has nothing cut.
+	if elapsed >= deadline && (!f.Truncated || !res.Truncated) {
+		t.Errorf("ran %v against a %v deadline: function truncated=%v, result truncated=%v, want both set",
+			elapsed, deadline, f.Truncated, res.Truncated)
 	}
 }
 

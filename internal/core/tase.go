@@ -166,7 +166,7 @@ var (
 // function's body.
 type tase struct {
 	program    *Program
-	selWord    *evm.Word // value returned for CALLDATALOAD(0), nil = symbolic
+	selWord    *evm.Word // value returned for CALLDATALOAD(0); nil = symbolic, the dispatcher walk
 	lim        limits
 	it         *interner // per-trace hash-consing table
 	events     []Event
@@ -530,8 +530,8 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 			mkGuard := func(taken bool) Guard {
 				return Guard{PC: ins.PC, Cond: cond, Taken: taken, Lo: lo, Hi: hi}
 			}
-			if cond.Conc != nil {
-				taken := !cond.Conc.IsZero()
+			// follow continues this path down one side, without forking.
+			follow := func(taken bool) (*state, bool) {
 				st.guards = append(st.guards, mkGuard(taken))
 				if taken {
 					st.pc = dv
@@ -539,6 +539,18 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 					st.pc = nextPC
 				}
 				return nil, false
+			}
+			if cond.Conc != nil {
+				return follow(!cond.Conc.IsZero())
+			}
+			if t.selWord == nil {
+				// Dispatcher walk: a selector test's EQ event is already
+				// recorded, and the function body behind it is left to that
+				// selector's own exploration. Follow the branch to the next
+				// test only.
+				if toNext, ok := selectorTest(cond); ok {
+					return follow(toNext)
+				}
 			}
 			// Symbolic condition: fork within the visit budget.
 			t.ownVisits(st)
@@ -548,14 +560,7 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 				// exit) unless it lands in an abort block, in which case
 				// keep falling through (the branch is a range check).
 				t.pruned++
-				follow := dv > ins.PC && !t.isRevertBlock(dv)
-				st.guards = append(st.guards, mkGuard(follow))
-				if follow {
-					st.pc = dv
-				} else {
-					st.pc = nextPC
-				}
-				return nil, false
+				return follow(dv > ins.PC && !t.isRevertBlock(dv))
 			}
 			if t.paths >= t.lim.maxPaths || t.totSteps >= t.lim.maxSteps ||
 				(t.cancelable && t.pollCancel()) {
@@ -563,9 +568,7 @@ func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
 				// follow the fall-through only, and flag the result partial.
 				t.pruned++
 				t.trunc = true
-				st.guards = append(st.guards, mkGuard(false))
-				st.pc = nextPC
-				return nil, false
+				return follow(false)
 			}
 			other := t.cloneState(st)
 			st.guards = append(st.guards, mkGuard(false))
