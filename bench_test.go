@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -264,9 +265,9 @@ func e3Events(tb testing.TB, on bool) func() {
 const e3AllocRuns = 4
 
 // TestAllocsE3TimeDistribution holds the E3 experiment (Fig. 17) under a
-// fixed ceiling: 10% over the 15,337 allocs per run it was recorded at.
+// fixed ceiling: 10% over the 11,331 allocs per run it was recorded at.
 func TestAllocsE3TimeDistribution(t *testing.T) {
-	const ceiling = 16870
+	const ceiling = 12460
 	r, ok := experiments.ByID("e3")
 	if !ok {
 		t.Fatal("unknown experiment e3")
@@ -283,11 +284,11 @@ func TestAllocsE3TimeDistribution(t *testing.T) {
 
 // TestAllocsRecoverCorpus holds a whole RecoverContext, dispatcher walk
 // included, under a fixed ceiling over the E1 corpus (seed 1, 2,150
-// one-function contracts): 10% over the 117 allocs per contract it
+// one-function contracts): 10% over the 78.6 allocs per contract it
 // was recorded at. The E3 gate above counts RecoverFunction alone, so only
 // this gate sees a walk that re-enters function bodies.
 func TestAllocsRecoverCorpus(t *testing.T) {
-	const ceiling = 128
+	const ceiling = 87
 	c, err := corpus.Generate(corpus.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +303,45 @@ func TestAllocsRecoverCorpus(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("RecoverContext makes %.1f allocs per contract over E1, above the %d ceiling", got, ceiling)
 	}
+}
+
+// TestAllocBytesRecoverCorpus holds the bytes a whole RecoverContext
+// allocates over the E1 corpus (seed 1, 2,150 one-function contracts)
+// under a fixed ceiling: 10% over the 9,500 B per contract it was
+// recorded at (31,511 B before the engine recycled its per-recovery
+// memory). Allocation counts miss most of what recycling saves (an interner,
+// an event buffer or a disassembly is one allocation of kilobytes), so
+// the bytes have their own gate.
+func TestAllocBytesRecoverCorpus(t *testing.T) {
+	const ceiling = 10450
+	c, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bytesPerRun(2, func() {
+		for _, e := range c.Entries {
+			if _, err := core.RecoverContext(context.Background(), e.Code, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(c.Entries))
+	if got > ceiling {
+		t.Errorf("RecoverContext allocates %.0f B per contract over E1, above the %d ceiling", got, ceiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f, after one warm-up call, at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestAllocsE3Tracing(t *testing.T) {

@@ -45,6 +45,7 @@ func extractSelectors(t *tase) [][4]byte {
 		}
 	}
 	t.it.recycle() // only selector bytes leave the dispatcher walk
+	t.it = nil
 	return out
 }
 

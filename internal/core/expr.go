@@ -285,26 +285,24 @@ type LinearTerm struct {
 // merge by pointer identity, so a repeated subterm must be one node, as it
 // is in every tree TASE builds.
 func Linearize(e *Expr) Linear {
-	var acc linAcc
-	acc.terms = acc.buf[:0]
-	acc.add(e, evm.OneWord)
-	out := Linear{Const: acc.c}
-	// Drop cancelled terms; copy out so the result never aliases the
-	// accumulator's stack buffer.
+	return linearizeInto(e, nil)
+}
+
+// linearizeInto is Linearize appending the terms to buf[:0], so a caller
+// that passes a scratch buffer back in allocates nothing once the buffer
+// fits. The result's Terms alias buf.
+func linearizeInto(e *Expr, buf []LinearTerm) Linear {
+	out := Linear{Terms: buf[:0]}
+	out.add(e, evm.OneWord)
+	// Drop cancelled terms in place.
 	n := 0
-	for i := range acc.terms {
-		if !acc.terms[i].Coeff.IsZero() {
+	for _, t := range out.Terms {
+		if !t.Coeff.IsZero() {
+			out.Terms[n] = t
 			n++
 		}
 	}
-	if n > 0 {
-		out.Terms = make([]LinearTerm, 0, n)
-		for _, t := range acc.terms {
-			if !t.Coeff.IsZero() {
-				out.Terms = append(out.Terms, t)
-			}
-		}
-	}
+	out.Terms = out.Terms[:n]
 	return out
 }
 
@@ -341,50 +339,45 @@ func addLinearConst(c *evm.Word, e *Expr, coeff evm.Word) {
 	}
 }
 
-// linAcc accumulates terms in first-seen order. Linearizations are small
-// (a handful of atoms), so merging is a linear scan over a slice — no map,
-// no per-term heap nodes. Atoms merge by pointer: TASE builds every node
-// through the trace's interner, so equal structure is one node.
-type linAcc struct {
-	c     evm.Word
-	terms []LinearTerm
-	buf   [8]LinearTerm
-}
-
-func (a *linAcc) add(e *Expr, coeff evm.Word) {
+// add accumulates coeff*e, merging terms in first-seen order.
+// Linearizations are small (a handful of atoms), so merging is a linear
+// scan over the slice — no map, no per-term heap nodes. Atoms merge by
+// pointer: TASE builds every node through the trace's interner, so equal
+// structure is one node.
+func (l *Linear) add(e *Expr, coeff evm.Word) {
 	if e.Conc != nil {
-		a.c = a.c.Add(e.Conc.Mul(coeff))
+		l.Const = l.Const.Add(e.Conc.Mul(coeff))
 		return
 	}
 	if e.Kind == KindApp {
 		switch e.Op {
 		case evm.ADD:
-			a.add(e.Args[0], coeff)
-			a.add(e.Args[1], coeff)
+			l.add(e.Args[0], coeff)
+			l.add(e.Args[1], coeff)
 			return
 		case evm.SUB:
-			a.add(e.Args[0], coeff)
-			a.add(e.Args[1], coeff.Neg())
+			l.add(e.Args[0], coeff)
+			l.add(e.Args[1], coeff.Neg())
 			return
 		case evm.MUL:
 			if e.Args[0].Conc != nil {
-				a.add(e.Args[1], coeff.Mul(*e.Args[0].Conc))
+				l.add(e.Args[1], coeff.Mul(*e.Args[0].Conc))
 				return
 			}
 			if e.Args[1].Conc != nil {
-				a.add(e.Args[0], coeff.Mul(*e.Args[1].Conc))
+				l.add(e.Args[0], coeff.Mul(*e.Args[1].Conc))
 				return
 			}
 		}
 	}
-	for i := range a.terms {
-		t := &a.terms[i]
+	for i := range l.Terms {
+		t := &l.Terms[i]
 		if t.Atom == e {
 			t.Coeff = t.Coeff.Add(coeff)
 			return
 		}
 	}
-	a.terms = append(a.terms, LinearTerm{Atom: e, Coeff: coeff})
+	l.Terms = append(l.Terms, LinearTerm{Atom: e, Coeff: coeff})
 }
 
 // TermFor returns the coefficient of the atom with the given canonical

@@ -72,7 +72,7 @@ func TestCDataAtoms(t *testing.T) {
 func TestDescOf(t *testing.T) {
 	cd := NewCData(NewConstUint(4))
 	e := NewApp(evm.ADD, NewApp(evm.ADD, NewConstUint(4), cd), NewConstUint(32))
-	d, ok := descOfUncached(e)
+	d, ok := new(inference).describe(e)
 	if !ok || d.c != 36 || d.terms[cd.String()] != 1 {
 		t.Errorf("desc = %+v ok=%v", d, ok)
 	}

@@ -49,6 +49,17 @@ type inference struct {
 	// re-describes the same copy/load addresses, and descriptors are
 	// immutable once built.
 	descMemo map[*Expr]memoDesc
+
+	// lin is the scratch term buffer behind linearize.
+	lin []LinearTerm
+}
+
+// linearize is Linearize into the inference's scratch buffer: the terms
+// are valid only until the next call, which no caller outlives.
+func (inf *inference) linearize(e *Expr) Linear {
+	l := linearizeInto(e, inf.lin)
+	inf.lin = l.Terms
+	return l
 }
 
 // hit records a rule application against the global stats, the pipeline's
@@ -87,7 +98,7 @@ func (inf *inference) descOf(e *Expr) (bodyDesc, bool) {
 	if m, ok := inf.descMemo[e]; ok {
 		return m.d, m.ok
 	}
-	d, ok := descOfUncached(e)
+	d, ok := inf.describe(e)
 	if inf.descMemo == nil {
 		inf.descMemo = make(map[*Expr]memoDesc)
 	}
@@ -101,8 +112,9 @@ type memoDesc struct {
 	ok bool
 }
 
-func descOfUncached(e *Expr) (bodyDesc, bool) {
-	lin := Linearize(e)
+// describe is descOf without the memo.
+func (inf *inference) describe(e *Expr) (bodyDesc, bool) {
+	lin := inf.linearize(e)
 	c, ok := lin.Const.Uint64()
 	if !ok {
 		return bodyDesc{}, false
@@ -190,6 +202,21 @@ func InferSignature(tr Trace) ([]abi.Type, Language, RuleStats) {
 // Infer runs type inference with per-parameter rule explanations.
 func Infer(tr Trace) Inferred {
 	inf := &inference{events: tr.Events, lang: LangSolidity}
+	// Split the events by kind into one array: loads, then copies, then
+	// the rest, each part capped so appends cannot spill into the next.
+	var nCDL, nCDC int
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case EvCDL:
+			nCDL++
+		case EvCDC:
+			nCDC++
+		}
+	}
+	split := make([]Event, 0, len(tr.Events))
+	inf.cdls = split[:0:nCDL]
+	inf.cdcs = split[nCDL : nCDL : nCDL+nCDC]
+	inf.ops = split[nCDL+nCDC : nCDL+nCDC]
 	for _, ev := range tr.Events {
 		switch ev.Kind {
 		case EvCDL:

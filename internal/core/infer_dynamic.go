@@ -132,7 +132,7 @@ func (inf *inference) numUsedAsBound(numKey string) bool {
 		if b.String() == numKey {
 			return true
 		}
-		lin := Linearize(b)
+		lin := inf.linearize(b)
 		for _, t := range lin.Terms {
 			if t.Atom.String() == numKey {
 				return true
@@ -215,7 +215,7 @@ func (inf *inference) classifyCopied(v *bodyView) (abi.Type, bool) {
 		}
 		// 1-dim dynamic array: copy length is num*32.
 		if v.numKey != "" {
-			lenLin := Linearize(ev.Len)
+			lenLin := inf.linearize(ev.Len)
 			if coeff, has := lenLin.TermFor(v.numKey); has && coeff.Eq(evm.WordFromUint64(32)) {
 				inf.hit(R5)
 				inf.hit(R7)

@@ -14,12 +14,30 @@ import (
 // recurse and pointer equality substitutes for deep comparison everywhere
 // downstream (event dedup, common-subexpression reuse).
 //
-// An interner is confined to a single goroutine and lives for one trace.
-// The node tables are deliberately NOT pooled: clearing a map costs a
-// full-table memclr that small traces would pay at the previous trace's
-// high-water size, and generation-stamping retains stale trees that bloat
-// the GC-scanned heap. A fresh small table that grows to the trace's own
-// size measures faster than both.
+// An interner is confined to a single goroutine and lives for one trace. It
+// also holds the trace's event buffer and event dedup set, so everything a
+// trace can hand back for reuse hangs off this one struct.
+//
+// What is pooled, and what is not:
+//   - The struct itself (internerPool): smallConst makes it 2 KiB, and every
+//     recovery builds one for the dispatcher walk and one per selector.
+//   - The Expr, Word and Args slab chunks (exprChunkPool, wordChunkPool,
+//     argChunkPool): fixed-size arrays, whatever the trace's size.
+//   - The event buffer and the dedup set ride along in the pooled struct, up
+//     to maxPooledEvents; a larger trace's buffer and set are dropped, so an
+//     adversarial trace cannot pin its event slice in the pool.
+//   - The node tables (apps, consts) are NOT pooled: clearing a map costs a
+//     full-table memclr that small traces would pay at the previous trace's
+//     high-water size, and generation-stamping retains stale trees that
+//     bloat the GC-scanned heap. A fresh small table that grows to the
+//     trace's own size measures faster than both. The dedup set is cheap to
+//     pool by comparison: it holds one small entry per event, and the cap
+//     bounds what a clear can cost.
+//
+// Only the recovery pipeline recycles, and only once nothing can reach the
+// trace (see recycle). Traces handed to callers (TraceFunction) keep their
+// interner, so a caller may hold their events and nodes for as long as it
+// likes.
 //
 // Nodes are split across tables by kind so every key is compact —
 // applications hash 32 bytes (three child pointers plus a packed tag)
@@ -35,24 +53,32 @@ type interner struct {
 	nextID uint32
 	// envSeq numbers the environment nodes of this trace.
 	envSeq int
-	// hits/misses meter the hash-consing effectiveness; meterTASE folds
-	// them into the pipeline telemetry.
+	// hits/misses meter the hash-consing effectiveness; the engine copies
+	// them onto its tase when exploration ends (the interner may be
+	// recycled before the counters are read).
 	hits, misses uint64
+
+	// events and seen are the trace's event buffer and dedup set (see
+	// tase.record). They survive recycle up to maxPooledEvents, so the
+	// next trace appends into the same memory.
+	events []Event
+	seen   map[eventID]bool
 
 	// Slabs back the canonical nodes: every install carves its Expr, its
 	// concrete Word, and its Args array out of chunked arrays instead of
 	// individual heap objects. Nodes are immutable and share the trace's
 	// lifetime (nothing outlives the recovery holding an *Expr), so whole
 	// chunks die together and the per-node allocation disappears; the
-	// recovery pipeline goes further and recycles the Expr and Word chunks
-	// into the next trace (see recycle).
+	// recovery pipeline goes further and recycles the chunks into the next
+	// trace (see recycle).
 	exprSlab []Expr
 	wordSlab []evm.Word
 	argSlab  []*Expr
-	// exprChunks and wordChunks chain the pooled chunks behind exprSlab
-	// and wordSlab, newest first, so recycle can hand them back.
+	// The chunk lists chain the pooled chunks behind the slabs, newest
+	// first, so recycle can hand them back.
 	exprChunks *exprChunk
 	wordChunks *wordChunk
+	argChunks  *argChunk
 
 	// smallConst holds the canonical nodes for constants 0..255 instead
 	// of the consts table — stack offsets, head offsets, and mask widths
@@ -74,10 +100,17 @@ func appTag(kind ExprKind, op evm.Op, nargs int) uint32 {
 	return uint32(kind)<<16 | uint32(op)<<8 | uint32(nargs)
 }
 
-const internSlabLen = 128
+const (
+	internSlabLen = 128
+	// maxPooledEvents caps the event buffer (and so the dedup set, one
+	// entry per event) a recycled interner keeps: 512 events are 60 KiB of
+	// buffer, above every trace of the golden corpora and far below what
+	// a budget-bound adversarial trace collects.
+	maxPooledEvents = 512
+)
 
-// exprChunk and wordChunk are the pooled slab chunks, linked through next
-// so an interner can track the chunks it holds without allocating.
+// The pooled slab chunks, linked through next so an interner can track the
+// chunks it holds without allocating.
 type exprChunk struct {
 	nodes [internSlabLen]Expr
 	next  *exprChunk
@@ -88,14 +121,21 @@ type wordChunk struct {
 	next  *wordChunk
 }
 
-// exprChunkPool and wordChunkPool recycle slab chunks from one trace to
-// the next. The chunks are close to half of the bytes a recovery
-// allocates, and a recovery's heap is otherwise almost all garbage, so
-// reusing them sets how often the collector runs. Expr chunks go back
-// zeroed; word chunks need no clearing, newWord overwrites each slot.
+type argChunk struct {
+	args [internSlabLen]*Expr
+	next *argChunk
+}
+
+// The pools recycle interners and slab chunks from one trace to the next.
+// A recovery's heap is otherwise almost all garbage, so reusing them sets
+// how often the collector runs. Expr and Args chunks go back zeroed (they
+// hold pointers); word chunks need no clearing, newWord overwrites each
+// slot.
 var (
+	internerPool  = sync.Pool{New: func() any { return new(interner) }}
 	exprChunkPool = sync.Pool{New: func() any { return new(exprChunk) }}
 	wordChunkPool = sync.Pool{New: func() any { return new(wordChunk) }}
+	argChunkPool  = sync.Pool{New: func() any { return new(argChunk) }}
 )
 
 // newExpr carves one zeroed node from the slab.
@@ -131,7 +171,9 @@ func (it *interner) ownArgs(args []*Expr) []*Expr {
 		return nil
 	}
 	if len(it.argSlab) < n {
-		it.argSlab = make([]*Expr, internSlabLen)
+		c := argChunkPool.Get().(*argChunk)
+		c.next, it.argChunks = it.argChunks, c
+		it.argSlab = c.args[:]
 	}
 	owned := it.argSlab[:n:n]
 	it.argSlab = it.argSlab[n:]
@@ -139,12 +181,16 @@ func (it *interner) ownArgs(args []*Expr) []*Expr {
 	return owned
 }
 
+// newInterner takes an interner from the pool with fresh node tables.
 func newInterner() *interner {
+	it := internerPool.Get().(*interner)
 	// No size hints: most traces are small, and empty tables are cheap.
-	return &interner{
-		apps:   make(map[appInternKey]*Expr),
-		consts: make(map[evm.Word]*Expr),
+	it.apps = make(map[appInternKey]*Expr)
+	it.consts = make(map[evm.Word]*Expr)
+	if it.seen == nil {
+		it.seen = make(map[eventID]bool)
 	}
+	return it
 }
 
 // release drops the lookup structures. The canonical nodes themselves live
@@ -153,11 +199,11 @@ func (it *interner) release() {
 	it.apps, it.consts = nil, nil
 }
 
-// recycle returns the slab chunks to their pools. Call it only once no
-// node this interner installed can be reached: inferRecycled calls it
-// after inference over a trace, and the dispatcher walk after reading the
-// selectors out of its events. Traces handed to callers (TraceFunction)
-// are never recycled. Nil-safe.
+// recycle returns the interner and its slab chunks to their pools. Call it
+// only once no node this interner installed and no event it buffered can
+// be reached: inferRecycled calls it after inference over a trace, and the
+// dispatcher walk after reading the selectors out of its events. Traces
+// handed to callers (TraceFunction) are never recycled. Nil-safe.
 func (it *interner) recycle() {
 	if it == nil {
 		return
@@ -174,8 +220,28 @@ func (it *interner) recycle() {
 		wordChunkPool.Put(c)
 		c = next
 	}
-	it.exprChunks, it.wordChunks = nil, nil
-	it.exprSlab, it.wordSlab = nil, nil
+	for c := it.argChunks; c != nil; {
+		next := c.next
+		*c = argChunk{}
+		argChunkPool.Put(c)
+		c = next
+	}
+	it.reset()
+	internerPool.Put(it)
+}
+
+// reset zeroes the interner for its next trace, keeping the event buffer
+// and dedup set (emptied) only when the trace stayed within
+// maxPooledEvents.
+func (it *interner) reset() {
+	events, seen := it.events, it.seen
+	if cap(events) > maxPooledEvents { // seen holds one entry per event
+		events, seen = nil, nil
+	} else {
+		clear(events) // drop node references so the pool pins no trace
+		clear(seen)
+	}
+	*it = interner{events: events[:0], seen: seen}
 }
 
 // assignID gives e the next id and counts the install.

@@ -155,7 +155,7 @@ func finishTASE(t *tase, ev *eventlog.Event) {
 	ev.Paths += int64(t.paths)
 	ev.Steps += int64(t.totSteps)
 	ev.Pruned += int64(t.pruned)
-	ev.AddIntern(t.it.hits, t.it.misses)
+	ev.AddIntern(t.internHits, t.internMisses)
 	if t.trunc && ev.TruncCause == "" {
 		ev.TruncCause = t.truncationCause()
 	}
@@ -169,11 +169,11 @@ func meterTASE(t *tase) {
 	mPathsExplored.Add(uint64(t.paths))
 	mPathsPruned.Add(uint64(t.pruned))
 	mTASESteps.Add(uint64(t.totSteps))
-	mEvents.Add(uint64(len(t.events)))
+	mEvents.Add(uint64(t.events))
 	mStateGets.Add(t.stateGets)
 	mCloneBytes.Add(t.cloneBytes)
-	mInternHits.Add(t.it.hits)
-	mInternMisses.Add(t.it.misses)
+	mInternHits.Add(t.internHits)
+	mInternMisses.Add(t.internMisses)
 	if total := mInternHits.Load() + mInternMisses.Load(); total > 0 {
 		mInternHitRate.Set(int64(mInternHits.Load() * 1000 / total))
 	}

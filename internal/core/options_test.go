@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sigrec/internal/abi"
+	"sigrec/internal/eventlog"
 	"sigrec/internal/solc"
 )
 
@@ -107,37 +108,56 @@ func TestDeadlineSweep(t *testing.T) {
 // array's exploration short still returns the array, flagged Truncated.
 // The dispatcher walk stops at the selector test, so the deadline is spent
 // on the function's own exploration, whose first loop iteration already
-// shows the bound check.
+// shows the bound checks.
+//
+// The truncation assertion is keyed on the phases the deadline bounds
+// (disassembly, dispatcher walk, exploration, from the recovery's wide
+// event), not on total elapsed time: inference and scheduling run after
+// the cut. The exploration polls the clock every deadlineCheckMask+1
+// steps, so it may end up to one poll interval past the deadline uncut;
+// running two intervals past it means the deadline was not honoured.
+// Inference is not cancellable, so the recovery as a whole is held to the
+// 20x budget of TestDeadlineSweep: inference over the cut trace must not
+// grow with the array's 2^20 head slots (a per-slot claim map overruns).
 func TestDeadlineKeepsArrayType(t *testing.T) {
-	sig, err := abi.ParseSignature("f(uint256[1024])")
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, err := solc.Compile(solc.Contract{Functions: []solc.Function{
-		{Sig: sig, Mode: solc.External},
-	}}, solc.Config{Version: solc.DefaultVersion()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unbounded, the recovery takes about 9 ms on a 2-vCPU VM.
-	deadline := 5 * time.Millisecond
-	start := time.Now()
-	res, err := RecoverContext(context.Background(), code, Options{Deadline: deadline})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Functions) != 1 {
-		t.Fatalf("recovered %d functions, want 1", len(res.Functions))
-	}
-	f := res.Functions[0]
-	if got, want := f.TypeList(), sig.TypeList(); got != want {
-		t.Errorf("recovered %s, want %s", got, want)
-	}
-	// A host fast enough to finish inside the deadline has nothing cut.
-	if elapsed >= deadline && (!f.Truncated || !res.Truncated) {
-		t.Errorf("ran %v against a %v deadline: function truncated=%v, result truncated=%v, want both set",
-			elapsed, deadline, f.Truncated, res.Truncated)
+	for _, sigStr := range []string{"f(uint256[1024])", "f(uint256[1024][1024])"} {
+		t.Run(sigStr, func(t *testing.T) {
+			sig, err := abi.ParseSignature(sigStr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, err := solc.Compile(solc.Contract{Functions: []solc.Function{
+				{Sig: sig, Mode: solc.External},
+			}}, solc.Config{Version: solc.DefaultVersion()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Unbounded, f(uint256[1024]) explores for 5-7 ms on a 2-vCPU VM.
+			deadline := 5 * time.Millisecond
+			var ev eventlog.Event
+			start := time.Now()
+			res, err := recoverUncached(context.Background(), code, Options{Deadline: deadline}, &ev)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Functions) != 1 {
+				t.Fatalf("recovered %d functions, want 1", len(res.Functions))
+			}
+			f := res.Functions[0]
+			if got, want := f.TypeList(), sig.TypeList(); got != want {
+				t.Errorf("recovered %s, want %s", got, want)
+			}
+			bounded := time.Duration(ev.DisasmUS+ev.DispatchUS+ev.ExploreUS) * time.Microsecond
+			poll := time.Duration(ev.ExploreUS) * time.Microsecond * (deadlineCheckMask + 1) / time.Duration(max(ev.Steps, 1))
+			if bounded >= deadline+2*poll && (!f.Truncated || !res.Truncated) {
+				t.Errorf("explored for %v against a %v deadline (poll interval %v): function truncated=%v, result truncated=%v, want both set",
+					bounded, deadline, poll, f.Truncated, res.Truncated)
+			}
+			if limit := 20 * deadline; elapsed > limit {
+				t.Errorf("recovery took %v (inference %v µs), want <= %v", elapsed, ev.InferUS, limit)
+			}
+		})
 	}
 }
 

@@ -48,8 +48,21 @@ const (
 // NumRules is the count of defined rules.
 const NumRules = 31
 
-// String implements fmt.Stringer.
-func (r RuleID) String() string { return "R" + strconv.Itoa(int(r)) }
+// String implements fmt.Stringer. The defined rules' names come from a
+// table, so naming one (a wide event's rule-fire keys) allocates nothing.
+func (r RuleID) String() string {
+	if r >= 0 && int(r) < len(ruleNames) {
+		return ruleNames[r]
+	}
+	return "R" + strconv.Itoa(int(r))
+}
+
+var ruleNames = func() (names [NumRules + 1]string) {
+	for i := range names {
+		names[i] = "R" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // RuleStats counts rule applications (the paper's Fig. 19).
 type RuleStats [NumRules + 1]uint64

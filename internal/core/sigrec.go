@@ -12,7 +12,6 @@ import (
 
 	"sigrec/internal/abi"
 	"sigrec/internal/eventlog"
-	"sigrec/internal/evm"
 	"sigrec/internal/obs"
 )
 
@@ -196,7 +195,8 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	// Each phase boundary shares one clock read (NowUS) between the ending
 	// span and the starting one, halving the tracer's clock cost.
 	dsp := rec.Span("disassemble")
-	program := evm.Disassemble(code)
+	program := loadProgram(code)
+	defer releaseProgram(program)
 	t1 := time.Now()
 	var now int64
 	if dsp != nil {
@@ -226,6 +226,38 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	}
 	recoverSelectors(&res, program, selectors, lim, opts.selectorWorkers(len(selectors)), rec, ev)
 	return res, nil
+}
+
+// programPool recycles disassembly buffers from one recovery to the next.
+// recoverUncached and RecoverFunction use it: their Program reaches no
+// trace, result or span that outlives the call, so the buffers can go back
+// as they return.
+var programPool = sync.Pool{New: func() any { return new(Program) }}
+
+// loadProgram disassembles code into a pooled Program. Hand it back with
+// releaseProgram once nothing that outlives the caller points into it.
+func loadProgram(code []byte) *Program {
+	p := programPool.Get().(*Program)
+	p.Load(code)
+	return p
+}
+
+// maxPooledProgramBytes caps the disassembly buffers the pool keeps. It
+// holds every contract of the golden corpora (86 KiB at most, for 2.1 KB of
+// code), while a real 24 KB contract (about 1 MiB of buffers, 96 KiB of it
+// the pc index) is left to the collector instead of pinned in the pool.
+const maxPooledProgramBytes = 128 << 10
+
+// releaseProgram returns p to programPool unless its buffers are over
+// maxPooledProgramBytes, and reports whether it did. It drops p's reference
+// to the caller's bytecode.
+func releaseProgram(p *Program) bool {
+	if p.Bytes() > maxPooledProgramBytes {
+		return false
+	}
+	p.Code = nil
+	programPool.Put(p)
+	return true
 }
 
 // selOutcome carries one selector's explore+infer output from the worker
@@ -348,7 +380,8 @@ func inferRecycled(tr Trace) Inferred {
 // latency histogram.
 func RecoverFunction(code []byte, selector abi.Selector) (RecoveredFunction, RuleStats) {
 	start := time.Now()
-	program := evm.Disassemble(code)
+	program := loadProgram(code)
+	defer releaseProgram(program)
 	tr := TraceFunction(program, selector)
 	d := inferRecycled(tr)
 	mRecoverUS.ObserveDuration(time.Since(start))

@@ -105,8 +105,9 @@ type Trace struct {
 	// Truncated is set when an exploration budget was hit.
 	Truncated bool
 
-	// it is the interner whose slabs hold the events' nodes; the recovery
-	// pipeline recycles it once inference is done with the trace.
+	// it is the interner whose slabs hold the events' nodes and whose
+	// buffer holds Events; the recovery pipeline recycles it once
+	// inference is done with the trace.
 	it *interner
 }
 
@@ -146,7 +147,8 @@ type memCopy struct {
 // JUMPI fan-out; recycling them (and their stack buffers and maps) keeps
 // the per-path cost flat regardless of state size. Guard and copy slices
 // are never pooled: events capture capacity-trimmed views of them that
-// outlive the exploration.
+// outlive the exploration. What outlives a path but not the trace (nodes,
+// the event buffer, the dedup set) is pooled with the interner instead.
 var (
 	statePool = sync.Pool{New: func() any {
 		mStateAllocs.Inc()
@@ -168,9 +170,7 @@ type tase struct {
 	program    *Program
 	selWord    *evm.Word // value returned for CALLDATALOAD(0); nil = symbolic, the dispatcher walk
 	lim        limits
-	it         *interner // per-trace hash-consing table
-	events     []Event
-	seen       map[eventID]bool
+	it         *interner // per-trace hash-consing table, event buffer and dedup set
 	paths      int
 	totSteps   int
 	pruned     int // forks suppressed and worklist states dropped by budgets
@@ -179,6 +179,12 @@ type tase struct {
 	expired    bool   // deadline passed or context cancelled
 	cloneBytes uint64 // bytes materialized by copy-on-write ownership takes
 	stateGets  uint64 // state allocator requests (pool reuses + fresh allocs)
+
+	// Set when run returns, from the interner, which the pipeline may
+	// recycle before the counters are folded (annotateTASE, finishTASE,
+	// meterTASE).
+	events                   int
+	internHits, internMisses uint64
 }
 
 // newTASE builds an exploration engine with a fresh interner.
@@ -235,8 +241,8 @@ func annotateTASE(sp *obs.Span, t *tase, selHex string) {
 		obs.Attr{Key: "steps", Num: int64(t.totSteps)},
 		obs.Attr{Key: "pruned", Num: int64(t.pruned)},
 	)
-	if total := t.it.hits + t.it.misses; total > 0 {
-		attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.it.hits * 1000 / total)})
+	if total := t.internHits + t.internMisses; total > 0 {
+		attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.internHits * 1000 / total)})
 	}
 	if cause := t.truncationCause(); cause != "" {
 		attrs = append(attrs, obs.Attr{Key: "truncated", Str: cause})
@@ -270,9 +276,9 @@ func (t *tase) pollCancel() bool {
 // Program wraps a disassembled contract for analysis.
 type Program = evm.Program
 
-// run explores all paths and returns the deduplicated events.
+// run explores all paths and returns the deduplicated events. They live
+// in the interner's event buffer until the interner is recycled.
 func (t *tase) run() []Event {
-	t.seen = make(map[eventID]bool)
 	if t.it == nil {
 		t.it = newInterner()
 	}
@@ -305,12 +311,13 @@ func (t *tase) run() []Event {
 			t.releaseState(st)
 		}
 	}
-	// The dedup set and the interner's lookup tables are dead once
-	// exploration ends; dropping them here keeps them out of the live heap
-	// while the trace waits for inference and the merge.
-	t.seen = nil
+	// The interner's lookup tables are dead once exploration ends; dropping
+	// them here keeps them out of the live heap while the trace waits for
+	// inference and the merge. The dedup set stays with the interner, to
+	// be emptied and reused when it is recycled.
 	t.it.release()
-	return t.events
+	t.events, t.internHits, t.internMisses = len(t.it.events), t.it.hits, t.it.misses
+	return t.it.events
 }
 
 // newState takes a zeroed state from the pool.
@@ -427,11 +434,11 @@ func (t *tase) explore(st *state) []*state {
 // record deduplicates and stores an event.
 func (t *tase) record(ev Event) {
 	key := eventKey(ev)
-	if t.seen[key] {
+	if t.it.seen[key] {
 		return
 	}
-	t.seen[key] = true
-	t.events = append(t.events, ev)
+	t.it.seen[key] = true
+	t.it.events = append(t.it.events, ev)
 }
 
 // eventKey builds the integer dedup key of an event. Every operand is an
@@ -469,7 +476,7 @@ func guardsSnapshot(st *state) []Guard {
 // step executes one instruction. It returns a forked state to queue (at
 // most one, from a symbolic JUMPI whose fall-through this path keeps
 // following) and whether the path is done.
-func (t *tase) step(st *state, ins evm.Instruction) (*state, bool) {
+func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 	op := ins.Op
 	if !op.Defined() {
 		return nil, true
@@ -790,5 +797,7 @@ func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace,
 	selWord := evm.WordFromBytes(b[:])
 	t := newTASE(program, &selWord, lim)
 	events := t.run()
-	return Trace{Selector: selector, Events: events, Truncated: t.trunc, it: t.it}, t
+	tr := Trace{Selector: selector, Events: events, Truncated: t.trunc, it: t.it}
+	t.it = nil // the trace owns the interner now; t keeps only counters
+	return tr, t
 }

@@ -69,7 +69,7 @@ func TestTASEResolvesMemoryThroughCopy(t *testing.T) {
 		if val.Kind != KindCData {
 			t.Fatalf("masked value is %v, want a call-data load", val)
 		}
-		d, ok := descOfUncached(val.Args[0])
+		d, ok := new(inference).describe(val.Args[0])
 		if !ok || d.c != 0x24 || len(d.terms) != 0 {
 			t.Errorf("resolved offset = %+v, want constant 0x24", d)
 		}

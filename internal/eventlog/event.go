@@ -11,7 +11,12 @@
 // scraped.
 package eventlog
 
-import "context"
+import (
+	"context"
+	"encoding/json"
+	"slices"
+	"strconv"
+)
 
 // Event is one wide event: the full story of one contract recovery as a
 // flat record. Every field is denormalized onto the event so a log line
@@ -62,7 +67,7 @@ type Event struct {
 
 	// RuleFires is the per-recovery rule-fire vector ("R11" -> count),
 	// zero-count rules omitted — the live slice of the paper's Fig. 19.
-	RuleFires map[string]uint64 `json:"rule_fires,omitempty"`
+	RuleFires RuleFires `json:"rule_fires,omitempty"`
 
 	// Truncated/TruncCause report a hit exploration budget; Cache is the
 	// disposition ("hit" when the pipeline-level result cache answered);
@@ -84,6 +89,48 @@ type Event struct {
 	// goroutine flushes + fsyncs and replies on the channel instead of
 	// encoding anything. Not serialized.
 	syncCh chan error
+}
+
+// RuleFires maps rule names ("R11") to fire counts. It encodes exactly as
+// encoding/json encodes a map[string]uint64 (keys sorted), but without the
+// reflection, which allocates for every key and value it visits.
+type RuleFires map[string]uint64
+
+// MarshalJSON implements json.Marshaler.
+func (m RuleFires) MarshalJSON() ([]byte, error) {
+	var buf [32]string
+	keys := buf[:0]
+	for k := range m {
+		if !plainKey(k) {
+			return json.Marshal(map[string]uint64(m))
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b := make([]byte, 0, 2+len(keys)*12)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, k...)
+		b = append(b, '"', ':')
+		b = strconv.AppendUint(b, m[k], 10)
+	}
+	return append(b, '}'), nil
+}
+
+// plainKey reports whether k is ASCII letters and digits only, which JSON
+// quotes verbatim.
+func plainKey(k string) bool {
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
+			return false
+		}
+	}
+	return true
 }
 
 // AddIntern accumulates one exploration's interner counters; the hit rate

@@ -445,3 +445,42 @@ func TestEventFinalize(t *testing.T) {
 		t.Fatalf("intern hit permille = %d, want 900", ev.InternHitPermille)
 	}
 }
+
+// TestRuleFiresEncodesLikeAMap: the hand-written encoder of the rule-fire
+// vector writes the bytes encoding/json writes for the same
+// map[string]uint64, including key order and keys that need escaping, and
+// decodes back to the same map.
+func TestRuleFiresEncodesLikeAMap(t *testing.T) {
+	many := map[string]uint64{}
+	for i := 0; i < 40; i++ {
+		many[fmt.Sprintf("R%d", i)] = uint64(i * 7)
+	}
+	for _, m := range []map[string]uint64{
+		{},
+		{"R4": 1},
+		{"R11": 3, "R1": 1, "R4": 18446744073709551615},
+		{"R2": 2, "<R&3>": 3, "é": 4, `q"uote`: 5},
+		many,
+	} {
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(RuleFires(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("RuleFires encodes %s, map encodes %s", got, want)
+		}
+		var back RuleFires
+		if err := json.Unmarshal(got, &back); err != nil || len(back) != len(m) {
+			t.Fatalf("decode %s: %v (%d keys)", got, err, len(back))
+		}
+		for k, v := range m {
+			if back[k] != v {
+				t.Errorf("decode %s: %s = %d, want %d", got, k, back[k], v)
+			}
+		}
+	}
+}

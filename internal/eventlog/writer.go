@@ -401,13 +401,12 @@ func encodeLine(ev *Event) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// pushTail records the line in the recent-events ring (copying: the
-// caller's buffer is reused).
+// pushTail records the line in the recent-events ring. encodeLine returns
+// a fresh buffer per line and the bufio.Writer copies what it is given, so
+// the ring keeps the line itself.
 func (w *Writer) pushTail(line []byte) {
-	cp := make([]byte, len(line))
-	copy(cp, line)
 	w.tailMu.Lock()
-	w.tail[w.tailNext] = cp
+	w.tail[w.tailNext] = line
 	w.tailNext = (w.tailNext + 1) % len(w.tail)
 	if w.tailLen < len(w.tail) {
 		w.tailLen++

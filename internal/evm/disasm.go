@@ -3,6 +3,7 @@ package evm
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Instruction is one decoded EVM instruction.
@@ -11,14 +12,14 @@ type Instruction struct {
 	PC uint64
 	// Op is the opcode byte.
 	Op Op
+	// Truncated marks a PUSH whose immediate ran past the end of the code.
+	Truncated bool
 	// Arg is the immediate value for PUSH instructions (zero otherwise).
 	Arg Word
 	// ArgBytes is the raw immediate (nil for non-PUSH). Truncated PUSH
 	// immediates at the end of the code are zero-padded, matching EVM
 	// execution semantics.
 	ArgBytes []byte
-	// Truncated marks a PUSH whose immediate ran past the end of the code.
-	Truncated bool
 }
 
 // String formats the instruction as "PC: OP [0xarg]".
@@ -41,14 +42,25 @@ type Program struct {
 	// and answers IsJumpDest too (a JUMPDEST byte is a jump target exactly
 	// when an instruction starts there).
 	byPC []int32
+	// arena backs every instruction's ArgBytes, so the immediates are one
+	// buffer the Program owns rather than views into Code.
+	arena []byte
 }
 
 // Disassemble decodes runtime bytecode with a linear sweep, the same way the
 // Geth disassembler does. It never fails: undefined bytes decode as INVALID
 // one-byte instructions and truncated PUSH immediates are zero-padded.
-// A counting pre-pass sizes the instruction slice exactly, and all PUSH
-// immediates share one arena allocation.
 func Disassemble(code []byte) *Program {
+	p := new(Program)
+	p.Load(code)
+	return p
+}
+
+// Load disassembles code into p, replacing what p held and reusing its
+// buffers where they are large enough, so a caller that decodes contract
+// after contract into one Program stops allocating once the buffers fit.
+// A counting pre-pass sizes every buffer exactly.
+func (p *Program) Load(code []byte) {
 	nIns, nImm := 0, 0
 	for pc := 0; pc < len(code); {
 		size := 1 + Op(code[pc]).ImmediateSize()
@@ -56,15 +68,14 @@ func Disassemble(code []byte) *Program {
 		nIns++
 		pc += size
 	}
-	p := &Program{
-		Code:         code,
-		Instructions: make([]Instruction, 0, nIns),
-		byPC:         make([]int32, len(code)),
-	}
+	p.Code = code
+	p.Instructions = reuse(p.Instructions, nIns)[:0]
+	p.byPC = reuse(p.byPC, len(code))
+	p.arena = reuse(p.arena, nImm)
 	for i := range p.byPC {
 		p.byPC[i] = -1
 	}
-	arena := make([]byte, nImm)
+	arena := p.arena
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
 		ins := Instruction{PC: uint64(pc), Op: op}
@@ -74,7 +85,8 @@ func Disassemble(code []byte) *Program {
 			raw := arena[:imm:imm]
 			arena = arena[imm:]
 			if end > len(code) {
-				copy(raw, code[pc+1:])
+				n := copy(raw, code[pc+1:])
+				clear(raw[n:])
 				ins.Truncated = true
 			} else {
 				copy(raw, code[pc+1:end])
@@ -87,17 +99,32 @@ func Disassemble(code []byte) *Program {
 		p.Instructions = append(p.Instructions, ins)
 		pc += size
 	}
-	return p
+}
+
+// Bytes is the heap footprint of p's buffers (at their capacity), for
+// callers that keep a Program for reuse and must bound what they keep.
+func (p *Program) Bytes() int {
+	return cap(p.Instructions)*int(unsafe.Sizeof(Instruction{})) + cap(p.byPC)*4 + cap(p.arena)
+}
+
+// reuse returns buf resliced to length n, allocating only when its
+// capacity is short.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // At returns the instruction at the given program counter, if one starts
-// there (PCs inside PUSH immediates have no instruction).
-func (p *Program) At(pc uint64) (Instruction, bool) {
+// there (PCs inside PUSH immediates have no instruction). The pointer is
+// into Instructions, so stepping through a program copies nothing.
+func (p *Program) At(pc uint64) (*Instruction, bool) {
 	idx, ok := p.IndexOf(pc)
 	if !ok {
-		return Instruction{}, false
+		return nil, false
 	}
-	return p.Instructions[idx], true
+	return &p.Instructions[idx], true
 }
 
 // IndexOf returns the instruction-slice index for a PC.

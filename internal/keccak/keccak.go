@@ -171,6 +171,12 @@ func (h *Hasher) absorb() {
 // Sum returns the digest of everything written so far appended to b. The
 // hasher state is not modified, so further writes continue the same stream.
 func (h *Hasher) Sum(b []byte) []byte {
+	out := h.sum()
+	return append(b, out[:]...)
+}
+
+// sum is Sum as an array, so Sum256 returns it without a heap copy.
+func (h *Hasher) sum() [Size]byte {
 	// Work on a copy so Sum is non-destructive.
 	cp := *h
 	// Original Keccak padding: 0x01 ... 0x80.
@@ -184,7 +190,7 @@ func (h *Hasher) Sum(b []byte) []byte {
 	for i := 0; i < Size/8; i++ {
 		putLE64(out[i*8:], cp.a[i])
 	}
-	return append(b, out[:]...)
+	return out
 }
 
 // Reset restores the initial state.
@@ -196,9 +202,7 @@ func (h *Hasher) Reset() {
 func Sum256(data []byte) [Size]byte {
 	var h Hasher
 	_, _ = h.Write(data)
-	var out [Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return h.sum()
 }
 
 func le64(b []byte) uint64 {

@@ -182,7 +182,7 @@ func TraceSeed(requestID string, start time.Time) string {
 // request's trace without coordination.
 func DeriveTraceID(seed string) string {
 	h := keccak.Sum256([]byte("sigrec/trace:" + seed))
-	return hex.EncodeToString(h[:16])
+	return hexString(h[:16])
 }
 
 // TraceIDFor is the one rule for the trace id a request travels under:
@@ -204,7 +204,7 @@ func TraceIDFor(parent SpanContext, requestID string) string {
 // parents under it exactly.
 func DeriveSpanID(name string) string {
 	h := keccak.Sum256([]byte("sigrec/spanid:" + name))
-	return hex.EncodeToString(h[:8])
+	return hexString(h[:8])
 }
 
 // DeriveSpanIDAt derives the span id for the index-th span (preorder) of
@@ -218,7 +218,15 @@ func DeriveSpanIDAt(seed string, startNano int64, index int) string {
 	buf = appendUint64(buf, uint64(startNano))
 	buf = appendUint32(buf, uint32(index))
 	h := keccak.Sum256(buf)
-	return hex.EncodeToString(h[:8])
+	return hexString(h[:8])
+}
+
+// hexString is hex.EncodeToString for ids of up to 16 bytes in one
+// allocation (EncodeToString costs two).
+func hexString(b []byte) string {
+	var buf [32]byte
+	n := hex.Encode(buf[:], b)
+	return string(buf[:n])
 }
 
 func appendUint64(b []byte, v uint64) []byte {
