@@ -27,9 +27,10 @@ test:
 
 # ./internal/scan runs RecoverContext concurrently with both a result
 # cache and an event log, so it races the cache-hit half of the engine's
-# per-recovery record.
+# per-recovery record. ./internal/daemon's Close shuts the debug listener
+# down while the exporter and event-log goroutines drain.
 race:
-	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan
+	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan ./internal/daemon
 
 # Re-record the per-signature golden (internal/core/testdata/
 # signatures.golden) from the current engine and show what moved. `make

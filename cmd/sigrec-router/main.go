@@ -61,72 +61,59 @@ import (
 	"time"
 
 	"sigrec/internal/cluster"
+	"sigrec/internal/daemon"
 	"sigrec/internal/obs"
-	"sigrec/internal/otlp"
 	"sigrec/internal/server"
 	"sigrec/internal/telemetry"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sigrec-router:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		addr      = flag.String("addr", ":8400", "listen address")
-		shardSpec = flag.String("shards", "", "comma-separated shard pool as id=url (required)")
-		timeout   = flag.Duration("timeout", cluster.DefaultTimeout, "end-to-end deadline per routed request, across retries and hedges")
-		maxBody   = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
-		hedge     = flag.Bool("hedge", true, "hedge slow requests to the ring successor after the owner's p95-derived delay")
-		slowest   = flag.Int("trace-slowest", obs.DefaultSlowest, "routed requests retained in the router's flight recorder (0 = tracing off)")
-		otlpEP    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL; router metrics and span trees are exported there (empty = export off)")
-		otlpIntv  = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: one metrics snapshot per tick")
-		svcName   = flag.String("service-name", "sigrec-router", "service.name resource attribute on every OTLP export")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		version   = flag.Bool("version", false, "print version and exit")
+		addr      = fs.String("addr", ":8400", "listen address")
+		shardSpec = fs.String("shards", "", "comma-separated shard pool as id=url (required)")
+		timeout   = fs.Duration("timeout", cluster.DefaultTimeout, "end-to-end deadline per routed request, across retries and hedges")
+		maxBody   = fs.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
+		hedge     = fs.Bool("hedge", true, "hedge slow requests to the ring successor after the owner's p95-derived delay")
 	)
-	flag.Parse()
+	df := daemon.Register(fs, daemon.Defaults{
+		ServiceName:   "sigrec-router",
+		OTLPUsage:     "OTLP/HTTP collector base URL; router metrics and span trees are exported there (empty = export off)",
+		SlowestUsage:  "routed requests retained in the router's flight recorder (0 = tracing off)",
+		IntervalUsage: "OTLP flush cadence: one metrics snapshot per tick",
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	if *version {
+	if df.Version {
 		fmt.Println(obs.VersionString())
 		return nil
 	}
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := daemon.NewLogger(os.Stderr, df.LogFormat, df.LogLevel)
 	if err != nil {
 		return err
 	}
-	shards, err := parseShards(*shardSpec)
+	shards, err := daemon.ParseAddrs("-shards", *shardSpec, true)
 	if err != nil {
-		flag.Usage()
+		fs.Usage()
 		return err
 	}
 
-	// OTLP export ships the router's registry (routing counters, per-shard
-	// health, the latency histogram) and — through the tracer's sink — the
-	// span tree recorded for every routed request: route decision, per-attempt
-	// client spans, health polls. The exporter is created before the router
-	// so both can share one registry and the tracer can point at its sink.
+	// OTLP export ships the router's own registry (routing counters,
+	// per-shard health, the latency histogram) and — through the tracer's
+	// sink — the span tree recorded for every routed request: route
+	// decision, per-attempt client spans, health polls.
 	reg := telemetry.NewRegistry()
-	var exporter *otlp.Exporter
-	if *otlpEP != "" {
-		ver, _ := obs.Version()
-		exporter = otlp.New(otlp.Config{
-			Endpoint:    *otlpEP,
-			Interval:    *otlpIntv,
-			ServiceName: *svcName,
-			Resource:    map[string]string{"service.version": ver},
-			Registry:    reg,
-			Logger:      logger,
-		})
-		exporter.Start()
-	}
-	var tracer *obs.Tracer
-	if *slowest > 0 {
-		tracer = obs.New(obs.Config{Slowest: *slowest, Sink: exporter.Sink()})
+	proc, err := daemon.Start(df, daemon.Config{Logger: logger, Registry: reg})
+	if err != nil {
+		return err
 	}
 
 	rt, err := cluster.NewRouter(cluster.Config{
@@ -135,7 +122,7 @@ func run() error {
 		MaxBodyBytes: *maxBody,
 		Hedge:        *hedge,
 		Registry:     reg,
-		Tracer:       tracer,
+		Tracer:       proc.Tracer,
 		Logger:       logger,
 	})
 	if err != nil {
@@ -160,8 +147,8 @@ func run() error {
 		"shards", len(shards),
 		"timeout", (*timeout).String(),
 		"hedge", *hedge,
-		"tracing", tracer != nil,
-		"otlp_endpoint", *otlpEP,
+		"tracing", proc.Tracer != nil,
+		"otlp_endpoint", df.OTLPEndpoint,
 		"version", ver,
 		"go_version", goVer,
 	)
@@ -177,34 +164,9 @@ func run() error {
 	defer cancel()
 	serr := hs.Shutdown(sctx)
 	rt.Close()
-	if exporter != nil {
-		if err := exporter.Close(sctx); err != nil {
-			logger.Warn("otlp exporter close timed out", "err", err)
-		}
-	}
+	proc.Close(sctx)
 	if errors.Is(serr, context.DeadlineExceeded) {
 		return errors.New("shutdown deadline exceeded")
 	}
 	return serr
-}
-
-// parseShards parses -shards: "id1=http://host:port,id2=...".
-func parseShards(spec string) ([]cluster.ShardAddr, error) {
-	var shards []cluster.ShardAddr
-	seen := map[string]bool{}
-	for _, part := range splitComma(spec) {
-		id, url, ok := cutEq(part)
-		if !ok {
-			return nil, fmt.Errorf("-shards entry %q is not id=url", part)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("-shards lists shard %q twice", id)
-		}
-		seen[id] = true
-		shards = append(shards, cluster.ShardAddr{ID: id, URL: url})
-	}
-	if len(shards) == 0 {
-		return nil, errors.New("-shards is required (id=url,...)")
-	}
-	return shards, nil
 }

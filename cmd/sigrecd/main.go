@@ -52,159 +52,91 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"sigrec"
 	"sigrec/internal/cluster"
 	"sigrec/internal/core"
+	"sigrec/internal/daemon"
 	"sigrec/internal/efsd"
 	"sigrec/internal/eventlog"
 	"sigrec/internal/obs"
-	"sigrec/internal/otlp"
 	"sigrec/internal/server"
-	"sigrec/internal/slo"
 	"sigrec/internal/store"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sigrecd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		addr      = flag.String("addr", ":8409", "listen address")
-		workers   = flag.Int("workers", 0, "concurrent recoveries (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", server.DefaultQueueDepth, "admission queue depth; beyond it requests are shed with 429")
-		timeout   = flag.Duration("timeout", 2*time.Second, "per-request recovery deadline (0 = unbounded)")
-		budget    = flag.Int("budget", 0, "TASE step budget per exploration (0 = built-in default)")
-		paths     = flag.Int("maxpaths", 0, "explored-path cap per exploration (0 = built-in default)")
-		cache     = flag.Int("cache", server.DefaultCacheEntries, "result-cache entries (keccak-keyed LRU)")
-		storeDir  = flag.String("store-dir", "", "directory for the persistent result store layered under the cache; warm results survive restarts (empty = memory-only)")
-		maxBody   = flag.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
-		drain     = flag.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		debugAddr = flag.String("debug-addr", "", "listen address for pprof + /debug/slowest (empty = disabled)")
-		slowest   = flag.Int("trace-slowest", obs.DefaultSlowest, "recoveries retained in the flight recorder (0 = tracing off)")
-		eventLog  = flag.String("event-log", "", "path for the durable wide-event log, one NDJSON record per recovery (empty = disabled)")
-		eventMB   = flag.Int("event-log-max-mb", 64, "rotate the event log past this many MB per segment")
-		sampleR   = flag.Float64("sample-rate", 1, "keep probability for fast, successful recoveries in the event log; errors, truncations, and the slow tail are always kept")
-		otlpEP    = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL, e.g. http://127.0.0.1:4318; spans and metrics are exported there (empty = export off)")
-		otlpIntv  = flag.Duration("otlp-interval", otlp.DefaultInterval, "OTLP flush cadence: trace batches at least this often, one metrics snapshot per tick")
-		svcName   = flag.String("service-name", "sigrecd", "service.name resource attribute on every OTLP export")
-		sloLatUS  = flag.Duration("slo-latency-threshold", 100*time.Millisecond, "latency SLO: the duration 99% of recoveries must complete under (0 = latency objective off)")
-		shardID   = flag.String("shard-id", "", "this shard's id on the cluster hash ring (enables peer cache fill when -peers is set)")
-		peerSpec  = flag.String("peers", "", "comma-separated peer shards as id=url; on a local cache miss whose ring owner is a peer, its cache is consulted before computing")
-		version   = flag.Bool("version", false, "print version and exit")
+		addr     = fs.String("addr", ":8409", "listen address")
+		workers  = fs.Int("workers", 0, "concurrent recoveries (0 = GOMAXPROCS)")
+		queue    = fs.Int("queue", server.DefaultQueueDepth, "admission queue depth; beyond it requests are shed with 429")
+		timeout  = fs.Duration("timeout", 2*time.Second, "per-request recovery deadline (0 = unbounded)")
+		budget   = fs.Int("budget", 0, "TASE step budget per exploration (0 = built-in default)")
+		paths    = fs.Int("maxpaths", 0, "explored-path cap per exploration (0 = built-in default)")
+		cache    = fs.Int("cache", server.DefaultCacheEntries, "result-cache entries (keccak-keyed LRU)")
+		storeDir = fs.String("store-dir", "", "directory for the persistent result store layered under the cache; warm results survive restarts (empty = memory-only)")
+		maxBody  = fs.Int64("maxbody", server.DefaultMaxBodyBytes, "max request-body bytes (and max batch line)")
+		drain    = fs.Duration("drain", 15*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
+		eventLog = fs.String("event-log", "", "path for the durable wide-event log, one NDJSON record per recovery (empty = disabled)")
+		sampleR  = fs.Float64("sample-rate", 1, "keep probability for fast, successful recoveries in the event log; errors, truncations, and the slow tail are always kept")
+		shardID  = fs.String("shard-id", "", "this shard's id on the cluster hash ring (enables peer cache fill when -peers is set)")
+		peerSpec = fs.String("peers", "", "comma-separated peer shards as id=url; on a local cache miss whose ring owner is a peer, its cache is consulted before computing")
 	)
-	flag.Parse()
+	df := daemon.Register(fs, daemon.Defaults{
+		ServiceName: "sigrecd",
+		OTLPUsage:   "OTLP/HTTP collector base URL, e.g. http://127.0.0.1:4318; spans and metrics are exported there (empty = export off)",
+		DebugUsage:  "listen address for pprof + /debug/slowest (empty = disabled)",
+		SLOLatency:  100 * time.Millisecond,
+		EventLog:    true,
+	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	if *version {
+	if df.Version {
 		fmt.Println(obs.VersionString())
 		return nil
 	}
 
 	if err := validateFlags(*workers, *queue, *maxBody); err != nil {
-		return usageError(err)
+		return usageError(fs, err)
 	}
-	peers, err := parsePeers(*peerSpec)
+	peerList, err := daemon.ParseAddrs("-peers", *peerSpec, false)
 	if err != nil {
-		return usageError(err)
+		return usageError(fs, err)
+	}
+	peers := make(map[string]string, len(peerList))
+	for _, p := range peerList {
+		peers[p.ID] = p.URL
 	}
 	if len(peers) > 0 && *shardID == "" {
-		return usageError(errors.New("-peers requires -shard-id"))
+		return usageError(fs, errors.New("-peers requires -shard-id"))
 	}
 	if _, self := peers[*shardID]; self {
-		return usageError(fmt.Errorf("-peers must not include this shard's own id %q", *shardID))
+		return usageError(fs, fmt.Errorf("-peers must not include this shard's own id %q", *shardID))
 	}
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := daemon.NewLogger(os.Stderr, df.LogFormat, df.LogLevel)
 	if err != nil {
 		return err
 	}
-	// OTLP export: spans flow tracer -> exporter sink -> collector; metrics
-	// are snapshotted from the shared registry each interval. The exporter
-	// is created before the tracer so the tracer's sink can point at it.
-	var exporter *otlp.Exporter
-	if *otlpEP != "" {
-		ver, _ := obs.Version()
-		res := map[string]string{"service.version": ver}
-		if *shardID != "" {
-			res["sigrec.shard"] = *shardID
-		}
-		exporter = otlp.New(otlp.Config{
-			Endpoint:    *otlpEP,
-			Interval:    *otlpIntv,
-			ServiceName: *svcName,
-			Resource:    res,
-			Registry:    core.Metrics(),
-			Logger:      logger,
-		})
-	}
-	var tracer *obs.Tracer
-	if *slowest > 0 {
-		// Span export rides on tracing: -trace-slowest 0 disables both the
-		// flight recorder and OTLP trace export (metrics still flow).
-		tracer = obs.New(obs.Config{Slowest: *slowest, Sink: exporter.Sink()})
-	}
-	var events *eventlog.Writer
-	if *eventLog != "" {
-		events, err = eventlog.New(eventlog.Config{
-			Path:       *eventLog,
-			MaxBytes:   int64(*eventMB) << 20,
-			SampleRate: *sampleR,
-			Registry:   core.Metrics(),
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	// Burn-rate engine: availability over the /v1/recover outcome counters
-	// and (optionally) a latency objective over the recovery histogram, both
-	// already in the shared registry, evaluated on the SRE-workbook
-	// multi-window rules. Alert transitions land in the event log; state is
-	// served at /debug/slo on both listeners.
-	reg := core.Metrics()
-	objectives := []slo.Objective{{
-		Name:   "availability",
-		Target: 0.999,
-		Source: slo.CounterSource{
-			Total:  reg.Counter("sigrecd_recover_requests_total"),
-			Errors: reg.Counter("sigrecd_recover_errors_total"),
-		},
-	}}
-	if *sloLatUS > 0 {
-		objectives = append(objectives, slo.Objective{
-			Name:   fmt.Sprintf("latency_p99_%s", *sloLatUS),
-			Target: 0.99,
-			Source: slo.LatencySource{
-				Histogram:   reg.Histogram("sigrec_recover_duration_microseconds"),
-				ThresholdUS: float64(sloLatUS.Microseconds()),
-			},
-		})
-	}
-	sloEval := slo.New(slo.Config{
-		Objectives: objectives,
-		Registry:   reg,
-		Events:     events,
-	})
-
 	// Persistent tier: with -store-dir the result cache is tiered — memory
 	// LRU over an append-only disk store — so a restarted shard serves its
 	// working set warm immediately, before any recompute or peer fill.
@@ -218,13 +150,40 @@ func run() error {
 		tiered = core.NewTieredCache(*cache, resultStore).Cache
 	}
 
+	// Stitched traces tag spans with the shard id when there is one — that
+	// is the name peers and the router use in their TracePeers maps — and
+	// fall back to the OTLP service name for a standalone process. The
+	// -peers map doubles as the trace fan-out targets: the same shards that
+	// can fill this cache can hold fragments of this trace.
+	service := cmp.Or(*shardID, df.ServiceName)
+	var resource map[string]string
+	if *shardID != "" {
+		resource = map[string]string{"sigrec.shard": *shardID}
+	}
+	// The SLO engine's availability objective reads the /v1/recover outcome
+	// counters; its state is served at /debug/slo on both listeners.
+	proc, err := daemon.Start(df, daemon.Config{
+		Logger:             logger,
+		Registry:           core.Metrics(),
+		Resource:           resource,
+		EventLog:           eventlog.Config{Path: *eventLog, SampleRate: *sampleR},
+		AvailabilityTotal:  "sigrecd_recover_requests_total",
+		AvailabilityErrors: "sigrecd_recover_errors_total",
+		Trace:              server.TraceOptions{Service: service, Peers: peers},
+	})
+	if err != nil {
+		if resultStore != nil {
+			resultStore.Close()
+		}
+		return err
+	}
+
 	// Cluster mode: with a shard id and peers, misses whose ring owner is
 	// another shard first try that owner's cache (peer fill) before
 	// computing locally, and this shard serves its own cache to peers.
 	var fill core.FillFunc
-	var ring *cluster.Ring
 	if len(peers) > 0 {
-		ring = cluster.NewRing()
+		ring := cluster.NewRing()
 		ring.Add(*shardID)
 		for id := range peers {
 			ring.Add(id)
@@ -232,15 +191,6 @@ func run() error {
 		fill = cluster.PeerFill(ring, *shardID, peers, nil, 0)
 	}
 
-	// Stitched traces tag spans with the shard id when there is one — that
-	// is the name peers and the router use in their TracePeers maps — and
-	// fall back to the OTLP service name for a standalone process. The
-	// -peers map doubles as the trace fan-out targets: the same shards that
-	// can fill this cache can hold fragments of this trace.
-	service := *svcName
-	if *shardID != "" {
-		service = *shardID
-	}
 	srv := server.New(server.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -251,10 +201,10 @@ func run() error {
 		CacheEntries: *cache,
 		MaxBodyBytes: *maxBody,
 		Logger:       logger,
-		Tracer:       tracer,
-		EventLog:     events,
+		Tracer:       proc.Tracer,
+		EventLog:     proc.Events,
 		CacheFill:    fill,
-		SLO:          sloEval,
+		SLO:          proc.SLO,
 		Service:      service,
 		TracePeers:   peers,
 	})
@@ -272,39 +222,12 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	sloEval.Start()
-	if exporter != nil {
-		exporter.Start()
-	}
-
-	var dbg *http.Server
-	if *debugAddr != "" {
-		dbg = &http.Server{
-			Addr: *debugAddr,
-			Handler: server.DebugHandler(server.DebugOptions{
-				Tracer: tracer,
-				Events: events,
-				SLO:    sloEval,
-				Trace: server.TraceHandler(server.TraceOptions{
-					Service: service,
-					Tracer:  tracer,
-					Peers:   peers,
-				}),
-			}),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("debug listener failed", "err", err)
-			}
-		}()
-	}
 
 	rc := srv.ResolvedConfig()
 	ver, goVer := obs.Version()
 	logger.Info("sigrecd listening",
 		"addr", *addr,
-		"debug_addr", *debugAddr,
+		"debug_addr", df.DebugAddr,
 		"workers", rc.Workers,
 		"queue", rc.QueueDepth,
 		"timeout", rc.Timeout.String(),
@@ -313,14 +236,14 @@ func run() error {
 		"cache_entries", *cache,
 		"store_dir", *storeDir,
 		"max_body", rc.MaxBodyBytes,
-		"tracing", tracer != nil,
+		"tracing", proc.Tracer != nil,
 		"event_log", *eventLog,
-		"event_log_max_mb", *eventMB,
+		"event_log_max_mb", df.EventLogMaxMB,
 		"sample_rate", *sampleR,
 		"shard_id", *shardID,
 		"peers", len(peers),
-		"otlp_endpoint", *otlpEP,
-		"service_name", *svcName,
+		"otlp_endpoint", df.OTLPEndpoint,
+		"service_name", df.ServiceName,
 		"version", ver,
 		"go_version", goVer,
 	)
@@ -337,44 +260,11 @@ func run() error {
 	sctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	// Stop accepting and wait for inflight handlers, then flush the worker
-	// pool (queued jobs finish) and emit the final telemetry snapshot.
+	// pool (queued jobs finish), then drain the operator surface so the
+	// collector and the event log see the final recoveries.
 	serr := hs.Shutdown(sctx)
 	derr := srv.Drain(sctx)
-	if dbg != nil {
-		_ = dbg.Shutdown(sctx)
-	}
-	sloEval.Close()
-	// Flush the export queue after the pool drains so the collector sees
-	// the final recoveries and terminal counter values.
-	if exporter != nil {
-		if err := exporter.Close(sctx); err != nil {
-			logger.Warn("otlp exporter close timed out", "err", err)
-		}
-	}
-	// The flight recorder's retained span trees would die with the process;
-	// dump them into the durable event log as an auxiliary record (or to
-	// stderr when no log is configured) so the last slow/truncated traces
-	// survive the restart. Then close the log: drain, flush, fsync.
-	if tracer != nil {
-		snap := tracer.Recorder().Snapshot()
-		if len(snap.Slowest) > 0 || len(snap.Truncated) > 0 {
-			if events != nil {
-				if seq := events.EmitAux("flight_recorder", snap); seq == 0 {
-					logger.Warn("flight-recorder dump dropped (event log closed or queue full)")
-				}
-			} else {
-				enc := json.NewEncoder(os.Stderr)
-				if err := enc.Encode(map[string]any{"kind": "flight_recorder", "data": snap}); err != nil {
-					logger.Warn("flight-recorder dump failed", "err", err)
-				}
-			}
-		}
-	}
-	if events != nil {
-		if err := events.Close(); err != nil {
-			logger.Error("event log close failed", "err", err)
-		}
-	}
+	proc.Close(sctx)
 	if resultStore != nil {
 		// Export the store's recovered signatures as an EFSD-format JSON
 		// next to the segments (selector -> placeholder-named signature,
@@ -443,56 +333,9 @@ func validateFlags(workers, queue int, maxBody int64) error {
 	return nil
 }
 
-// parsePeers parses the -peers flag: "id1=http://host:port,id2=...".
-func parsePeers(spec string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("-peers entry %q is not id=url", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("-peers lists shard %q twice", id)
-		}
-		peers[id] = strings.TrimSuffix(url, "/")
-	}
-	return peers, nil
-}
-
 // usageError prints the flag summary after the error so a misconfigured
 // service fails with actionable output rather than a bare message.
-func usageError(err error) error {
-	flag.Usage()
+func usageError(fs *flag.FlagSet, err error) error {
+	fs.Usage()
 	return err
-}
-
-// buildLogger maps the -log-format/-log-level flags onto a slog.Logger
-// writing to stderr.
-func buildLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }

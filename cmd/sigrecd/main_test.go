@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"testing"
+
+	"sigrec/internal/daemon"
+)
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
@@ -29,22 +37,18 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("s1=http://a:1/, s2=http://b:2")
+// TestFlagSurface pins every flag's name, type, default and usage text.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("sigrecd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := run(fs, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	want, err := os.ReadFile("testdata/flags.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(peers) != 2 || peers["s1"] != "http://a:1" || peers["s2"] != "http://b:2" {
-		t.Fatalf("peers = %v", peers)
-	}
-
-	if peers, err := parsePeers(""); err != nil || len(peers) != 0 {
-		t.Fatalf("empty spec: peers=%v err=%v", peers, err)
-	}
-
-	for _, bad := range []string{"s1", "=http://a", "s1=", "s1=http://a,s1=http://b"} {
-		if _, err := parsePeers(bad); err == nil {
-			t.Errorf("parsePeers(%q) accepted malformed input", bad)
-		}
+	if got := daemon.Surface(fs); got != string(want) {
+		t.Errorf("flag surface differs from testdata/flags.golden; got:\n%s", got)
 	}
 }
