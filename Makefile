@@ -33,11 +33,12 @@ race:
 	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan ./internal/daemon
 
 # Re-record the per-signature golden (internal/core/testdata/
-# signatures.golden) from the current engine and show what moved. `make
-# check` gates against the committed file; re-record only when the diff
-# below is the intended effect of the change, and say why in CHANGES.md.
+# signatures.golden) and the engine-counter golden (engine_counts.golden)
+# from the current engine and show what moved. `make check` gates against
+# the committed files; re-record only when the diff below is the intended
+# effect of the change, and say why in CHANGES.md.
 golden:
-	$(GO) test -count=1 ./internal/core -run '^TestSignatureGolden$$' -update
+	$(GO) test -count=1 ./internal/core -run '^(TestSignatureGolden|TestEngineCountsGolden)$$' -update
 	git diff --stat -- internal/core/testdata
 
 # Run the sigrecd HTTP daemon locally (see README "Serving" for flags).
@@ -136,9 +137,10 @@ bench-check:
 
 # Performance gates (CI job "smoke"). The allocation gates are ordinary
 # tests (TestAllocs*, run by `make test`): allocation counts are
-# deterministic, so the E3 experiment holds a fixed ceiling and each
-# tracing, event-log, OTLP and router-tracing On/Off pair holds On within
-# 10% of Off.
+# deterministic, so the E3 experiment and whole recoveries over E1 and
+# dataset 2 hold fixed ceilings, the tracing, event-log and OTLP pairs
+# hold a ceiling on the allocations each adds per recovery, and the
+# router-tracing pair holds On within 10% of Off.
 # The wall-time gates below are BenchmarkGate* functions: each runs its
 # sides in alternating rounds inside one process and judges the median
 # round (internal/benchgate). They hold the E3 tracing, event-log and

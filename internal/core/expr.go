@@ -4,6 +4,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,9 +40,6 @@ type Expr struct {
 	// the node's own kind and its (canonical) operands' bits, so
 	// ContainsCData never re-walks the tree. It sits in id's padding.
 	cdata bool
-	// str caches the canonical rendering; expressions are immutable, so
-	// the first String() call fills it and later calls are free.
-	str string
 }
 
 // ExprKind is the node discriminator.
@@ -170,21 +168,19 @@ func (e *Expr) ConstUint() (uint64, bool) {
 	return e.Conc.Uint64()
 }
 
-// String renders a canonical form used as the structural key throughout
-// inference. The rendering is cached on the node: expressions are immutable
-// and confined to one recovery, so repeated calls cost a field read.
+// String renders the expression for display (tests, diagnostics). Nothing
+// in the engine keys on it: within a trace, node identity is structural
+// identity.
 func (e *Expr) String() string {
-	if e.str == "" {
-		var b strings.Builder
-		e.render(&b, 0)
-		e.str = b.String()
-	}
-	return e.str
+	var b strings.Builder
+	e.render(&b, 0)
+	return b.String()
 }
 
-// maxRenderDepth bounds expression rendering. It must exceed the deepest
-// address expression the generated code produces (about 3 nodes per array
-// dimension), or distinct events would collide in the dedup index.
+// maxRenderDepth bounds expression rendering, so a deep trace node prints
+// as a bounded string. Two nodes that differ only below this depth render
+// alike; that affects display alone, since event dedup keys on node ids and
+// inference on the nodes themselves.
 const maxRenderDepth = 96
 
 func (e *Expr) render(b *strings.Builder, depth int) {
@@ -245,26 +241,36 @@ func containsCDataTree(e *Expr) bool {
 
 // CDataAtoms collects the distinct CData leaves (outermost only: a CData
 // whose offset itself contains CData is reported once, not recursed into).
+// Leaves are distinct by identity.
 func (e *Expr) CDataAtoms() []*Expr {
 	var out []*Expr
-	seen := make(map[string]bool)
-	var walk func(x *Expr)
-	walk = func(x *Expr) {
-		switch x.Kind {
-		case KindCData:
-			key := x.String()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, x)
-			}
-		case KindApp:
-			for _, a := range x.Args {
-				walk(a)
+	anyCDataAtom(e, func(x *Expr) bool {
+		if !slices.Contains(out, x) {
+			out = append(out, x)
+		}
+		return false
+	})
+	return out
+}
+
+// anyCDataAtom reports whether f holds for some outermost CData leaf of e,
+// visiting the leaves in order until it does. It allocates nothing, and
+// skips the untainted subtrees of interned nodes by their taint bit.
+func anyCDataAtom(e *Expr, f func(*Expr) bool) bool {
+	if e.id != 0 && !e.cdata {
+		return false
+	}
+	switch e.Kind {
+	case KindCData:
+		return f(e)
+	case KindApp:
+		for _, a := range e.Args {
+			if anyCDataAtom(a, f) {
+				return true
 			}
 		}
 	}
-	walk(e)
-	return out
+	return false
 }
 
 // Linear is the linearization of an expression: Constant + sum of
@@ -380,11 +386,10 @@ func (l *Linear) add(e *Expr, coeff evm.Word) {
 	l.Terms = append(l.Terms, LinearTerm{Atom: e, Coeff: coeff})
 }
 
-// TermFor returns the coefficient of the atom with the given canonical
-// string, if present.
-func (l Linear) TermFor(key string) (evm.Word, bool) {
+// TermFor returns the coefficient of atom, if present.
+func (l Linear) TermFor(atom *Expr) (evm.Word, bool) {
 	for _, t := range l.Terms {
-		if t.Atom.String() == key {
+		if t.Atom == atom {
 			return t.Coeff, true
 		}
 	}

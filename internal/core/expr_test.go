@@ -42,8 +42,8 @@ func TestLinearize(t *testing.T) {
 	if !l1.Const.Eq(evm.WordFromUint64(36)) {
 		t.Errorf("const part = %v", l1.Const)
 	}
-	c1, ok1 := l1.TermFor(cd.String())
-	c2, ok2 := l2.TermFor(cd.String())
+	c1, ok1 := l1.TermFor(cd)
+	c2, ok2 := l2.TermFor(cd)
 	if !ok1 || !ok2 || !c1.Eq(c2) || !c1.Eq(evm.WordFromUint64(32)) {
 		t.Errorf("coefficients: %v %v", c1, c2)
 	}
@@ -64,7 +64,7 @@ func TestCDataAtoms(t *testing.T) {
 	outer := NewCData(NewApp(evm.ADD, inner, NewConstUint(4)))
 	e := NewApp(evm.ADD, outer, NewConstUint(1))
 	atoms := e.CDataAtoms()
-	if len(atoms) != 1 || atoms[0].String() != outer.String() {
+	if len(atoms) != 1 || atoms[0] != outer {
 		t.Errorf("atoms = %v (outermost only expected)", atoms)
 	}
 }
@@ -73,10 +73,10 @@ func TestDescOf(t *testing.T) {
 	cd := NewCData(NewConstUint(4))
 	e := NewApp(evm.ADD, NewApp(evm.ADD, NewConstUint(4), cd), NewConstUint(32))
 	d, ok := new(inference).describe(e)
-	if !ok || d.c != 36 || d.terms[cd.String()] != 1 {
+	if !ok || d.c != 36 || coeffOf(d.terms, cd) != 1 {
 		t.Errorf("desc = %+v ok=%v", d, ok)
 	}
-	body := bodyDesc{c: 4, terms: map[string]uint64{cd.String(): 1}}
+	body := bodyDesc{c: 4, terms: []term{{atom: cd, coeff: 1}}}
 	if !coversTerms(d, body) {
 		t.Error("coversTerms failed")
 	}
@@ -132,5 +132,37 @@ func TestMaskRecognition(t *testing.T) {
 	}
 	if _, ok := highMaskBytes(evm.MaxWord); ok {
 		t.Error("all-ones is not a high mask below 32 bytes")
+	}
+}
+
+// TestDeepAtomsStayDistinct: two interned atoms that differ only below
+// maxRenderDepth render alike, yet stay distinct atoms: their descriptors
+// share no term, and a body over one does not cover the other.
+func TestDeepAtomsStayDistinct(t *testing.T) {
+	it := newInterner()
+	defer it.recycle()
+	deep := func(off uint64) *Expr {
+		e := it.cdata(it.constUint(off))
+		for i := 0; i <= maxRenderDepth; i++ {
+			e = it.app(evm.NOT, e)
+		}
+		return e
+	}
+	a, b := deep(4), deep(36)
+	if a == b || a.String() != b.String() {
+		t.Fatalf("want distinct nodes with one rendering, got %p %p rendering\n%s\n%s", a, b, a, b)
+	}
+	inf := &inference{nodes: make([]nodeInfo, it.nextID+1)}
+	base := it.constUint(68)
+	da, okA := inf.descOf(it.app(evm.ADD, a, base))
+	db, okB := inf.descOf(it.app(evm.ADD, b, base))
+	if !okA || !okB || len(da.terms) != 1 || len(db.terms) != 1 {
+		t.Fatalf("descriptors: %+v %v, %+v %v", da, okA, db, okB)
+	}
+	if sameTerms(da, db) || coversTerms(da, db) {
+		t.Fatalf("atoms that differ below the render depth merged: %+v %+v", da, db)
+	}
+	if atom, one := extraTerm(da, db); !one || atom != a {
+		t.Fatalf("extraTerm = %v %v, want the first atom", atom, one)
 	}
 }

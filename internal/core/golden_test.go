@@ -11,12 +11,16 @@ import (
 
 	"sigrec/internal/corpus"
 	"sigrec/internal/solc"
+	"sigrec/internal/telemetry"
 	"sigrec/internal/vyperc"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/signatures.golden from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/signatures.golden and testdata/engine_counts.golden from the current engine")
 
-const goldenPath = "testdata/signatures.golden"
+const (
+	goldenPath       = "testdata/signatures.golden"
+	engineCountsPath = "testdata/engine_counts.golden"
+)
 
 // renderResult serializes everything a caller can observe from one
 // recovery: a contract line (error, truncation flag, rule-application
@@ -109,25 +113,88 @@ func TestSignatureGolden(t *testing.T) {
 		res, err := RecoverContext(ctx, code, Options{})
 		fmt.Fprintf(&b, "d2/%03d %s", i, renderResult(res, err))
 	}
-	got := b.String()
+	checkGolden(t, goldenPath, b.String())
+}
 
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (record it with -update): %v", err)
 	}
 	if want := string(raw); got != want {
-		t.Fatalf("recovered signatures differ from %s:\n%s\nIf the change is intended, re-record with -update and review the diff.",
-			goldenPath, lineDiff(want, got, 10))
+		t.Fatalf("engine output differs from %s:\n%s\nIf the change is intended, re-record with -update and review the diff.",
+			path, lineDiff(want, got, 10))
 	}
+}
+
+// TestEngineCountsGolden pins the deterministic engine counters over the
+// two golden corpora (E1 seed 1 and dataset 2 seed 1), each recovered
+// whole at fan-out width 1: the interner's hit and miss totals and the
+// TASE steps, paths and events, dispatcher walks included. The counts do
+// not depend on how the interner stores its nodes, only on which nodes
+// it installs and which lookups find one, so a change to the node table
+// must reproduce them exactly; core.intern_hit_ratio in the benchmark
+// reads the same counters. Re-record with -update (or `make golden`).
+func TestEngineCountsGolden(t *testing.T) {
+	e1, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([][]byte, len(e1.Entries))
+	for i, e := range e1.Entries {
+		codes[i] = e.Code
+	}
+	got := "e1 " + engineCounts(t, codes) + "d2 " + engineCounts(t, distinctCodes(synth))
+	checkGolden(t, engineCountsPath, got)
+}
+
+// engineCounts recovers every contract at fan-out width 1 and renders the
+// engine counters' deltas over the run.
+func engineCounts(t *testing.T, codes [][]byte) string {
+	counters := []struct {
+		name string
+		c    *telemetry.Counter
+	}{
+		{"intern_hits", mInternHits},
+		{"intern_misses", mInternMisses},
+		{"steps", mTASESteps},
+		{"paths", mPathsExplored},
+		{"events", mEvents},
+	}
+	before := make([]uint64, len(counters))
+	for i, c := range counters {
+		before[i] = c.c.Load()
+	}
+	for _, code := range codes {
+		if _, err := RecoverContext(context.Background(), code, Options{workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	for i, c := range counters {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", c.name, c.c.Load()-before[i])
+	}
+	b.WriteByte('\n')
+	return b.String()
 }
 
 // lineDiff reports up to max differing lines between want and got.

@@ -26,32 +26,65 @@ func (l Language) String() string {
 }
 
 // inference runs the coarse and fine type inference (TASE steps 1, 2, 4)
-// over one function's trace.
+// over one function's trace. It keys everything by node identity: within a
+// trace the interner makes structurally equal values one node, so a
+// pointer compare is a structural compare, and a node's dense id indexes
+// per-node state.
 type inference struct {
 	events []Event
 	stats  RuleStats
 	lang   Language
 
-	cdls []Event // CALLDATALOAD events
-	cdcs []Event // CALLDATACOPY events
-	ops  []Event // tainted instruction events
-
-	// valIndex maps a loaded value's canonical key to the CDL event that
-	// produced it. viewBody needs it for every dynamic parameter; it is
-	// built once per trace on first use instead of per call.
-	valIndex map[string]Event
+	// The events by kind, as views into events.
+	cdls []*Event // CALLDATALOAD events
+	cdcs []*Event // CALLDATACOPY events
+	ops  []*Event // tainted instruction events
 
 	// cur accumulates the rules applied while classifying the current
 	// parameter (the per-parameter explanation).
 	cur []RuleID
 
-	// descMemo caches descOf by node: every parameter's classification
-	// re-describes the same copy/load addresses, and descriptors are
-	// immutable once built.
-	descMemo map[*Expr]memoDesc
+	// nodes holds per-node state for the trace's interned nodes, indexed by
+	// id (the interner numbers a trace's nodes from 1). A node without an
+	// id of this trace (one built outside an interner has id 0) has no
+	// record: it is described afresh on every call and found by pointer
+	// scans instead, so it never shares a slot with another node.
+	nodes []nodeInfo
+	// descs is descOf's memo; nodeInfo.desc indexes it.
+	descs []memoDesc
+	// terms is the arena the descriptors' term lists are carved from.
+	// Descriptors are immutable, so a carved list is never written again.
+	terms []term
+	// loadsIndexed and boundsMarked record that nodeInfo.load and
+	// nodeInfo.bound have been filled; otherBounds holds the bounds
+	// without a record.
+	loadsIndexed, boundsMarked bool
+	otherBounds                []*Expr
 
 	// lin is the scratch term buffer behind linearize.
 	lin []LinearTerm
+}
+
+// nodeInfo is the inference state of one interned node.
+type nodeInfo struct {
+	// desc is 1 + the index in descs of the node's memoized descOf; 0 until
+	// it is described.
+	desc int32
+	// load is 1 + the index in cdls of the first load whose value is the
+	// node; 0 when none.
+	load int32
+	// bound: the node is compared as a loop bound or range limit, or is a
+	// top-level linear term of such a value. linearized: its own terms
+	// have been marked.
+	bound, linearized bool
+}
+
+// info returns the node's record, or nil when it has no id of this trace.
+func (inf *inference) info(e *Expr) *nodeInfo {
+	if e.id == 0 || int(e.id) >= len(inf.nodes) {
+		return nil
+	}
+	return &inf.nodes[e.id]
 }
 
 // linearize is Linearize into the inference's scratch buffer: the terms
@@ -83,26 +116,33 @@ func (inf *inference) takeRules() []RuleID {
 	return out
 }
 
-// linParts reduces a Linear to a uint64 constant plus coefficient-1 atom
-// keys. It fails for exotic forms (huge constants, non-unit coefficients on
-// frame atoms), which the classifier treats as opaque.
+// bodyDesc reduces a Linear to a uint64 constant plus atoms with uint64
+// coefficients. describe fails for exotic forms (huge constants or
+// coefficients), which the classifier treats as opaque.
 type bodyDesc struct {
 	c     uint64
-	terms map[string]uint64 // atom key -> coefficient
+	terms []term // distinct atoms
+}
+
+// term is one atom of a bodyDesc and its coefficient (never 0).
+type term struct {
+	atom  *Expr
+	coeff uint64
 }
 
 func (inf *inference) descOf(e *Expr) (bodyDesc, bool) {
-	// Nodes are interned per trace, so the pointer is a sound memo key;
-	// classifiers re-describe the same addresses for every parameter, and
+	// Classifiers re-describe the same addresses for every parameter, and
 	// descriptors are immutable once built, so sharing them is safe.
-	if m, ok := inf.descMemo[e]; ok {
+	n := inf.info(e)
+	if n != nil && n.desc != 0 {
+		m := inf.descs[n.desc-1]
 		return m.d, m.ok
 	}
 	d, ok := inf.describe(e)
-	if inf.descMemo == nil {
-		inf.descMemo = make(map[*Expr]memoDesc)
+	if n != nil {
+		inf.descs = append(inf.descs, memoDesc{d: d, ok: ok})
+		n.desc = int32(len(inf.descs))
 	}
-	inf.descMemo[e] = memoDesc{d: d, ok: ok}
 	return d, ok
 }
 
@@ -112,72 +152,86 @@ type memoDesc struct {
 	ok bool
 }
 
-// describe is descOf without the memo.
+// describe is descOf without the memo. Linearize already merged repeated
+// atoms, so the terms are distinct.
 func (inf *inference) describe(e *Expr) (bodyDesc, bool) {
 	lin := inf.linearize(e)
 	c, ok := lin.Const.Uint64()
 	if !ok {
 		return bodyDesc{}, false
 	}
-	d := bodyDesc{c: c}
-	if len(lin.Terms) > 0 {
-		d.terms = make(map[string]uint64, len(lin.Terms))
-		for _, t := range lin.Terms {
-			coeff, ok := t.Coeff.Uint64()
-			if !ok {
-				return bodyDesc{}, false
-			}
-			d.terms[t.Atom.String()] += coeff
+	start := len(inf.terms)
+	for _, t := range lin.Terms {
+		coeff, ok := t.Coeff.Uint64()
+		if !ok {
+			inf.terms = inf.terms[:start]
+			return bodyDesc{}, false
 		}
+		inf.terms = append(inf.terms, term{atom: t.Atom, coeff: coeff})
 	}
-	return d, true
+	return bodyDesc{c: c, terms: inf.carve(start)}, true
 }
 
-// sameTerms reports whether two descriptors have identical symbolic parts.
-func sameTerms(a, b bodyDesc) bool {
-	if len(a.terms) != len(b.terms) {
-		return false
+// carve returns the arena's terms from start on as an immutable list, or
+// nil when there are none.
+func (inf *inference) carve(start int) []term {
+	if len(inf.terms) == start {
+		return nil
 	}
-	for k, v := range a.terms {
-		if b.terms[k] != v {
+	return inf.terms[start:len(inf.terms):len(inf.terms)]
+}
+
+// withTerm returns terms plus atom at coefficient 1.
+func (inf *inference) withTerm(terms []term, atom *Expr) []term {
+	start := len(inf.terms)
+	for _, t := range terms {
+		if t.atom != atom {
+			inf.terms = append(inf.terms, t)
+		}
+	}
+	inf.terms = append(inf.terms, term{atom: atom, coeff: 1})
+	return inf.carve(start)
+}
+
+// coeffOf returns atom's coefficient in terms, or 0 when it is absent.
+func coeffOf(terms []term, atom *Expr) uint64 {
+	for _, t := range terms {
+		if t.atom == atom {
+			return t.coeff
+		}
+	}
+	return 0
+}
+
+// coversTerms reports whether d includes all of body's terms with equal
+// coefficients.
+func coversTerms(d, body bodyDesc) bool {
+	for _, t := range body.terms {
+		if coeffOf(d.terms, t.atom) != t.coeff {
 			return false
 		}
 	}
 	return true
 }
 
-// extraTerms returns the atom keys in a but not in b (coefficient 1 only).
-func extraTerms(a, b bodyDesc) []string {
-	var out []string
-	for k, v := range a.terms {
-		if _, shared := b.terms[k]; !shared && v == 1 {
-			out = append(out, k)
-		}
-	}
-	slices.Sort(out)
-	return out
+// sameTerms reports whether two descriptors have identical symbolic parts.
+func sameTerms(a, b bodyDesc) bool {
+	return len(a.terms) == len(b.terms) && coversTerms(a, b)
 }
 
-// headAtomKey is the canonical key for the value loaded from a constant
-// head offset. The classifier asks for the same small set of offsets
-// (4 + 32k) for every parameter of every function, so the common keys are
-// rendered once at init into a read-only table.
-func headAtomKey(off uint64) string {
-	if off >= 4 && (off-4)%32 == 0 {
-		if slot := (off - 4) / 32; slot < uint64(len(headAtomKeys)) {
-			return headAtomKeys[slot]
+// extraTerm returns the coefficient-1 atom of a that b lacks, when there
+// is exactly one such atom.
+func extraTerm(a, b bodyDesc) (*Expr, bool) {
+	var extra *Expr
+	n := 0
+	for _, t := range a.terms {
+		if t.coeff == 1 && coeffOf(b.terms, t.atom) == 0 {
+			extra = t.atom
+			n++
 		}
 	}
-	return NewCData(NewConstUint(off)).String()
+	return extra, n == 1
 }
-
-var headAtomKeys = func() [64]string {
-	var keys [64]string
-	for i := range keys {
-		keys[i] = NewCData(NewConstUint(4 + 32*uint64(i))).String()
-	}
-	return keys
-}()
 
 // Inferred is the full inference output for one function.
 type Inferred struct {
@@ -202,8 +256,12 @@ func InferSignature(tr Trace) ([]abi.Type, Language, RuleStats) {
 // Infer runs type inference with per-parameter rule explanations.
 func Infer(tr Trace) Inferred {
 	inf := &inference{events: tr.Events, lang: LangSolidity}
-	// Split the events by kind into one array: loads, then copies, then
-	// the rest, each part capped so appends cannot spill into the next.
+	if tr.it != nil && len(tr.Events) > 0 {
+		inf.nodes = make([]nodeInfo, tr.it.nextID+1)
+	}
+	// Split the events by kind into one array of views: loads, then
+	// copies, then the rest, each part capped so appends cannot spill into
+	// the next.
 	var nCDL, nCDC int
 	for _, ev := range tr.Events {
 		switch ev.Kind {
@@ -213,12 +271,12 @@ func Infer(tr Trace) Inferred {
 			nCDC++
 		}
 	}
-	split := make([]Event, 0, len(tr.Events))
+	split := make([]*Event, 0, len(tr.Events))
 	inf.cdls = split[:0:nCDL]
 	inf.cdcs = split[nCDL : nCDL : nCDL+nCDC]
 	inf.ops = split[nCDL+nCDC : nCDL+nCDC]
-	for _, ev := range tr.Events {
-		switch ev.Kind {
+	for i := range tr.Events {
+		switch ev := &tr.Events[i]; ev.Kind {
 		case EvCDL:
 			inf.cdls = append(inf.cdls, ev)
 		case EvCDC:
@@ -300,11 +358,10 @@ func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
 	var claims []claim
 
 	// 1. Dynamic parameters: head slots whose loaded value is dereferenced.
-	derefed := inf.derefedHeadSlots()
-	for _, off := range derefed {
+	for _, h := range inf.derefedHeadSlots() {
 		inf.beginParam()
-		typ := inf.classifyDynamic(off)
-		claims = append(claims, claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
+		typ := inf.classifyDynamic(h.atom)
+		claims = append(claims, claim{off: h.off, size: 32, typ: typ, rules: inf.takeRules()})
 	}
 
 	// 2. Static arrays copied in public mode (constant-source CALLDATACOPY).
@@ -327,14 +384,32 @@ func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
 	return types, rules
 }
 
-// derefedHeadSlots finds constant head offsets whose loaded value is used as
-// a base of further call-data reads or copies (offset fields).
-func (inf *inference) derefedHeadSlots() []uint64 {
-	uses := make(map[string]bool)
+// headSlot is a constant head offset and the trace's node for the value
+// loaded from it, CALLDATALOAD(off).
+type headSlot struct {
+	off  uint64
+	atom *Expr
+}
+
+// headOffset reports the constant offset of a value loaded from one.
+func headOffset(val *Expr) (uint64, bool) {
+	if val.Kind != KindCData || val.Args[0].Kind != KindConst {
+		return 0, false
+	}
+	return val.Args[0].ConstUint()
+}
+
+// derefedHeadSlots finds constant head offsets whose loaded value,
+// CALLDATALOAD(off), is a term of the base of further call-data reads or
+// copies (offset fields).
+func (inf *inference) derefedHeadSlots() []headSlot {
+	var uses []*Expr
 	note := func(e *Expr) {
 		if d, ok := inf.descOf(e); ok {
-			for k := range d.terms {
-				uses[k] = true
+			for _, t := range d.terms {
+				if !slices.Contains(uses, t.atom) {
+					uses = append(uses, t.atom)
+				}
 			}
 		}
 	}
@@ -346,19 +421,16 @@ func (inf *inference) derefedHeadSlots() []uint64 {
 	for _, ev := range inf.cdcs {
 		note(ev.Src)
 	}
-	seen := make(map[uint64]bool)
-	var out []uint64
+	var out []headSlot
 	for _, ev := range inf.cdls {
-		off, ok := ev.Off.ConstUint()
-		if !ok || off < 4 || seen[off] {
+		off, ok := headOffset(ev.Val)
+		if !ok || off < 4 || !slices.Contains(uses, ev.Val) ||
+			slices.ContainsFunc(out, func(h headSlot) bool { return h.off == off }) {
 			continue
 		}
-		if uses[headAtomKey(off)] {
-			seen[off] = true
-			out = append(out, off)
-		}
+		out = append(out, headSlot{off: off, atom: ev.Val})
 	}
-	slices.Sort(out)
+	slices.SortFunc(out, func(a, b headSlot) int { return cmp.Compare(a.off, b.off) })
 	return out
 }
 
@@ -381,7 +453,7 @@ func loopBound(g Guard) (*Expr, bool) {
 // guardDims extracts the loop dimension bounds controlling an event,
 // outermost first: constant bounds yield static dimensions, call-data-
 // derived bounds dynamic ones (nil entry).
-func guardDims(ev Event) (constDims []uint64, dynCount int) {
+func guardDims(ev *Event) (constDims []uint64, dynCount int) {
 	seen := make(map[uint64]bool)
 	for _, g := range ev.Guards {
 		if seen[g.PC] || !g.Controls(ev.PC) {
@@ -418,7 +490,7 @@ func buildStaticArray(dims []uint64, elem abi.Type) abi.Type {
 func (inf *inference) staticPublicArrays(claims []claim) []claim {
 	type group struct {
 		minSrc uint64
-		ev     Event
+		ev     *Event
 	}
 	groups := make(map[uint64]*group)
 	var order []uint64
@@ -476,7 +548,7 @@ func (inf *inference) staticPublicArrays(claims []claim) []claim {
 func (inf *inference) staticExternalArrays(claims []claim) []claim {
 	type group struct {
 		offs []uint64
-		ev   Event
+		ev   *Event
 	}
 	groups := make(map[uint64]*group)
 	var order []uint64

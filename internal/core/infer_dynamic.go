@@ -11,103 +11,80 @@ import (
 // maxNestingDepth bounds recursive classification of nested values.
 const maxNestingDepth = 8
 
-// classifyDynamic classifies the parameter whose offset field sits at the
-// constant head offset off (rule R1 and everything hanging off it in the
-// decision tree).
-func (inf *inference) classifyDynamic(off uint64) abi.Type {
-	body := bodyDesc{c: 4, terms: map[string]uint64{headAtomKey(off): 1}}
+// classifyDynamic classifies the parameter whose offset field is the value
+// atom loaded from a constant head offset (rule R1 and everything hanging
+// off it in the decision tree).
+func (inf *inference) classifyDynamic(atom *Expr) abi.Type {
+	body := bodyDesc{c: 4, terms: inf.withTerm(nil, atom)}
 	return inf.classifyBody(body, 0)
-}
-
-// coversTerms reports whether d includes all of body's terms with equal
-// coefficients.
-func coversTerms(d, body bodyDesc) bool {
-	for k, v := range body.terms {
-		if d.terms[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // bodyView gathers everything the trace says about one body region.
 type bodyView struct {
 	body bodyDesc
-	// numEv is the read of the first body word (the num field, or the
-	// first struct member / element offset).
-	numEv  *Event
-	numKey string
-	// direct maps delta -> first CDL reading body+delta with no extra atoms.
-	direct map[uint64]Event
-	// directByPC groups direct read deltas by instruction.
-	directByPC map[uint64][]uint64
+	// num is the value of the first body word (the num field, or the first
+	// struct member / element offset); nil when the trace never reads it.
+	num *Expr
+	// reads are the CDLs reading body+delta with no extra atoms, in event
+	// order.
+	reads []bodyRead
 	// children are dereferenced inner values: slotDelta is where their
 	// offset field lives relative to the body start.
 	children []childRef
 }
 
+type bodyRead struct {
+	delta uint64
+	ev    *Event
+}
+
+// direct returns the first read of body+delta, or nil.
+func (v *bodyView) direct(delta uint64) *Event {
+	for _, r := range v.reads {
+		if r.delta == delta {
+			return r.ev
+		}
+	}
+	return nil
+}
+
 type childRef struct {
-	key       string // the inner offset atom's canonical key
+	atom      *Expr // the inner offset value
 	slotDelta uint64
 	pc        uint64 // instruction that loaded the inner offset
-	origin    Event
+	origin    *Event
 }
 
 // viewBody scans the CDL events for reads belonging to the body region.
 func (inf *inference) viewBody(body bodyDesc) *bodyView {
-	v := &bodyView{
-		body:       body,
-		direct:     make(map[uint64]Event),
-		directByPC: make(map[uint64][]uint64),
-	}
-	// Index: value key -> loading event (to locate inner offset origins).
-	// The CDL set is fixed for the whole trace, so build it lazily once
-	// and reuse it across the per-parameter viewBody calls.
-	if inf.valIndex == nil {
-		inf.valIndex = make(map[string]Event, len(inf.cdls))
-		for _, ev := range inf.cdls {
-			k := ev.Val.String()
-			if _, dup := inf.valIndex[k]; !dup {
-				inf.valIndex[k] = ev
-			}
-		}
-	}
-	valIndex := inf.valIndex
-	seenChild := make(map[string]bool)
+	v := &bodyView{body: body}
 	for _, ev := range inf.cdls {
 		d, ok := inf.descOf(ev.Off)
 		if !ok || !coversTerms(d, body) || d.c < body.c {
 			continue
 		}
-		extra := extraTerms(d, body)
 		switch {
 		case len(d.terms) == len(body.terms):
 			delta := d.c - body.c
-			if _, dup := v.direct[delta]; !dup {
-				v.direct[delta] = ev
+			v.reads = append(v.reads, bodyRead{delta: delta, ev: ev})
+			if delta == 0 && v.num == nil {
+				v.num = ev.Val
 			}
-			v.directByPC[ev.PC] = append(v.directByPC[ev.PC], delta)
-			if delta == 0 && v.numEv == nil {
-				e := ev
-				v.numEv = &e
-				v.numKey = ev.Val.String()
-			}
-		case len(extra) == 1 && len(d.terms) == len(body.terms)+1:
-			key := extra[0]
-			if seenChild[key] {
+		case len(d.terms) == len(body.terms)+1:
+			atom, one := extraTerm(d, body)
+			if !one || slices.ContainsFunc(v.children, func(c childRef) bool { return c.atom == atom }) {
 				continue
 			}
-			origin, found := valIndex[key]
-			if !found {
+			origin := inf.loadOf(atom)
+			if origin == nil {
 				continue
 			}
 			od, ok2 := inf.descOf(origin.Off)
 			if !ok2 || !sameTerms(od, body) || od.c < body.c {
 				continue
 			}
-			seenChild[key] = true
 			v.children = append(v.children, childRef{
-				key:       key,
+				atom:      atom,
 				slotDelta: od.c - body.c,
 				pc:        origin.PC,
 				origin:    origin,
@@ -120,55 +97,89 @@ func (inf *inference) viewBody(body bodyDesc) *bodyView {
 	return v
 }
 
+// loadOf returns the first CDL event whose loaded value is val, or nil. The
+// index behind it is built once per trace, on first use.
+func (inf *inference) loadOf(val *Expr) *Event {
+	n := inf.info(val)
+	if n == nil {
+		for _, ev := range inf.cdls {
+			if ev.Val == val {
+				return ev
+			}
+		}
+		return nil
+	}
+	if !inf.loadsIndexed {
+		inf.loadsIndexed = true
+		for i, ev := range inf.cdls {
+			if m := inf.info(ev.Val); m != nil && m.load == 0 {
+				m.load = int32(i + 1)
+			}
+		}
+	}
+	if n.load == 0 {
+		return nil
+	}
+	return inf.cdls[n.load-1]
+}
+
 // numUsedAsBound reports whether the num value itself is compared as a loop
 // bound or range limit. The atom must appear as a top-level linear term of
 // the compared value: appearing merely inside an address computation (an
 // offset used to locate some other bound) does not count.
-func (inf *inference) numUsedAsBound(numKey string) bool {
-	if numKey == "" {
+func (inf *inference) numUsedAsBound(num *Expr) bool {
+	if num == nil {
 		return false
 	}
-	isBound := func(b *Expr) bool {
-		if b.String() == numKey {
-			return true
+	if !inf.boundsMarked {
+		inf.markBounds()
+	}
+	if n := inf.info(num); n != nil {
+		return n.bound
+	}
+	return slices.Contains(inf.otherBounds, num)
+}
+
+// markBounds marks, once per trace, every loop-guard bound and every value
+// compared by LT or GT, and the top-level linear terms of each.
+func (inf *inference) markBounds() {
+	inf.boundsMarked = true
+	mark := func(b *Expr) {
+		n := inf.info(b)
+		if n != nil && n.linearized {
+			return
 		}
-		lin := inf.linearize(b)
-		for _, t := range lin.Terms {
-			if t.Atom.String() == numKey {
-				return true
-			}
+		if n != nil {
+			n.linearized = true
 		}
-		return false
+		inf.markBound(b)
+		for _, t := range inf.linearize(b).Terms {
+			inf.markBound(t.Atom)
+		}
 	}
 	for _, ev := range inf.events {
 		for _, g := range ev.Guards {
-			if bound, ok := loopBound(g); ok && isBound(bound) {
-				return true
+			if bound, ok := loopBound(g); ok {
+				mark(bound)
 			}
 		}
 	}
 	for _, ev := range inf.ops {
 		switch ev.Op {
 		case evm.LT, evm.GT:
-			if isBound(ev.Args[0]) || isBound(ev.Args[1]) {
-				return true
-			}
+			mark(ev.Args[0])
+			mark(ev.Args[1])
 		}
 	}
-	return false
 }
 
-// exprHasAtom reports whether any node of e renders to the given key.
-func exprHasAtom(e *Expr, key string) bool {
-	if e.String() == key {
-		return true
+// markBound records e as a bound.
+func (inf *inference) markBound(e *Expr) {
+	if n := inf.info(e); n != nil {
+		n.bound = true
+	} else if !slices.Contains(inf.otherBounds, e) {
+		inf.otherBounds = append(inf.otherBounds, e)
 	}
-	for _, a := range e.Args {
-		if exprHasAtom(a, key) {
-			return true
-		}
-	}
-	return false
 }
 
 // classifyBody determines the type of the dynamic value whose body starts
@@ -178,7 +189,7 @@ func (inf *inference) classifyBody(body bodyDesc, depth int) abi.Type {
 		return abi.Uint(256)
 	}
 	v := inf.viewBody(body)
-	if v.numEv != nil && depth == 0 {
+	if v.num != nil && depth == 0 {
 		inf.hit(R1)
 	}
 
@@ -191,12 +202,11 @@ func (inf *inference) classifyBody(body bodyDesc, depth int) abi.Type {
 	if len(v.children) > 0 {
 		return inf.classifyNested(v, depth)
 	}
-	usedAsBound := inf.numUsedAsBound(v.numKey)
-	if usedAsBound {
+	if inf.numUsedAsBound(v.num) {
 		return inf.classifySequence(v, depth)
 	}
 	// No length semantics: a struct of statically-encoded members (R21).
-	return inf.classifyStruct(v, nil, depth)
+	return inf.classifyStruct(v, depth)
 }
 
 // classifyCopied handles the CALLDATACOPY-based public patterns
@@ -214,9 +224,9 @@ func (inf *inference) classifyCopied(v *bodyView) (abi.Type, bool) {
 			continue
 		}
 		// 1-dim dynamic array: copy length is num*32.
-		if v.numKey != "" {
+		if v.num != nil {
 			lenLin := inf.linearize(ev.Len)
-			if coeff, has := lenLin.TermFor(v.numKey); has && coeff.Eq(evm.WordFromUint64(32)) {
+			if coeff, has := lenLin.TermFor(v.num); has && coeff.Eq(evm.WordFromUint64(32)) {
 				inf.hit(R5)
 				inf.hit(R7)
 				elem := inf.refineBasic(contentProfile())
@@ -286,22 +296,24 @@ func (inf *inference) classifySequence(v *bodyView, depth int) abi.Type {
 		deltas []uint64
 	}
 	var groups []pcGroup
-	for pc, deltas := range v.directByPC {
-		var past []uint64
-		for _, d := range deltas {
-			if d >= 32 {
-				past = append(past, d)
-			}
+	for _, r := range v.reads {
+		if r.delta < 32 {
+			continue
 		}
-		if len(past) > 0 {
-			slices.Sort(past)
-			groups = append(groups, pcGroup{pc: pc, deltas: past})
+		i := slices.IndexFunc(groups, func(g pcGroup) bool { return g.pc == r.ev.PC })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, pcGroup{pc: r.ev.PC})
 		}
+		groups[i].deltas = append(groups[i].deltas, r.delta)
 	}
 	if len(groups) == 0 {
 		// Length checked but content untouched: no element clues. The
 		// paper's tie-break for an opaque length-prefixed value is string.
 		return abi.String_()
+	}
+	for _, g := range groups {
+		slices.Sort(g.deltas)
 	}
 	slices.SortFunc(groups, func(a, b pcGroup) int { return cmp.Compare(a.deltas[0], b.deltas[0]) })
 	g := groups[0]
@@ -331,35 +343,24 @@ func (inf *inference) classifySequence(v *bodyView, depth int) abi.Type {
 	}
 	// 32-byte stride: a dynamic array; inner static dimensions come from the
 	// constant bound checks on the item read.
-	itemEv := v.direct[g.deltas[0]]
-	constDims, _ := guardDims(itemEv)
+	constDims, _ := guardDims(v.direct(g.deltas[0]))
 	inf.hit(R2)
 	elem := inf.refineBasic(contentProfile)
 	return abi.SliceOf(buildStaticArray(constDims, elem))
 }
 
 // classifyNested handles bodies with dereferenced inner values: nested
-// arrays (R22/R19) and dynamic structs (R21).
+// arrays (R22/R19) and dynamic structs (R21). The caller guarantees at
+// least one child.
 func (inf *inference) classifyNested(v *bodyView, depth int) abi.Type {
-	usedAsBound := inf.numUsedAsBound(v.numKey)
-
-	// Group children by loading instruction: a loop (one pc, many slots)
-	// means array elements; distinct pcs mean struct members.
-	byPC := make(map[uint64][]childRef)
-	var pcOrder []uint64
-	for _, c := range v.children {
-		if _, ok := byPC[c.pc]; !ok {
-			pcOrder = append(pcOrder, c.pc)
-		}
-		byPC[c.pc] = append(byPC[c.pc], c)
-	}
-
-	if usedAsBound && len(pcOrder) >= 1 {
+	// The first child leads: a loop (one pc, many slots) means array
+	// elements; distinct pcs mean struct members.
+	first := v.children[0]
+	if inf.numUsedAsBound(v.num) {
 		// Slice of dynamic elements: element offsets live at body+32+32i.
-		first := byPC[pcOrder[0]][0]
 		childBody := bodyDesc{
 			c:     v.body.c + 32,
-			terms: withTerm(v.body.terms, first.key),
+			terms: inf.withTerm(v.body.terms, first.atom),
 		}
 		inf.hit(R22)
 		elem := inf.classifyBody(childBody, depth+1)
@@ -368,53 +369,62 @@ func (inf *inference) classifyNested(v *bodyView, depth int) abi.Type {
 
 	// No num: either a static-length array of dynamic elements (loop) or a
 	// struct with dynamic members (straight-line member code).
-	if len(pcOrder) == 1 {
-		group := byPC[pcOrder[0]]
-		constDims, _ := guardDims(group[0].origin)
+	onePC := !slices.ContainsFunc(v.children, func(c childRef) bool { return c.pc != first.pc })
+	if onePC {
+		constDims, _ := guardDims(first.origin)
 		if len(constDims) >= 1 {
 			childBody := bodyDesc{
 				c:     v.body.c,
-				terms: withTerm(v.body.terms, group[0].key),
+				terms: inf.withTerm(v.body.terms, first.atom),
 			}
 			inf.hit(R22)
 			elem := inf.classifyBody(childBody, depth+1)
 			return abi.ArrayOf(elem, int(constDims[len(constDims)-1]))
 		}
 	}
-	return inf.classifyStruct(v, byPC, depth)
+	return inf.classifyStruct(v, depth)
 }
 
 // classifyStruct assembles a tuple from static member reads and dynamic
-// children (R21, with R19 for nested-array members).
-func (inf *inference) classifyStruct(v *bodyView, byPC map[uint64][]childRef, depth int) abi.Type {
+// children (R21, with R19 for nested-array members): the dynamic members
+// first, then the static ones, each in offset order.
+func (inf *inference) classifyStruct(v *bodyView, depth int) abi.Type {
 	type fieldSlot struct {
 		delta uint64
 		typ   abi.Type
 	}
 	var fields []fieldSlot
-	childAt := make(map[uint64]childRef)
-	for _, c := range v.children {
-		childAt[c.slotDelta] = c
+	// Dynamic members. Children are sorted by slot; of several at one slot
+	// the last one found holds it.
+	isChild := func(delta uint64) bool {
+		_, found := slices.BinarySearchFunc(v.children, delta, func(c childRef, d uint64) int {
+			return cmp.Compare(c.slotDelta, d)
+		})
+		return found
 	}
-	// Dynamic members.
-	for delta, c := range childAt {
-		childBody := bodyDesc{c: v.body.c, terms: withTerm(v.body.terms, c.key)}
+	for i, c := range v.children {
+		if i+1 < len(v.children) && v.children[i+1].slotDelta == c.slotDelta {
+			continue
+		}
+		childBody := bodyDesc{c: v.body.c, terms: inf.withTerm(v.body.terms, c.atom)}
 		t := inf.classifyBody(childBody, depth+1)
 		if isNestedArray(t) {
 			inf.hit(R19)
 		}
-		fields = append(fields, fieldSlot{delta: delta, typ: t})
+		fields = append(fields, fieldSlot{delta: c.slotDelta, typ: t})
 	}
-	// Static members: direct reads at deltas with no child claim.
-	for delta, ev := range v.direct {
-		if _, isChild := childAt[delta]; isChild {
+	// Static members: the first direct read at each slot no child holds.
+	statics := len(fields)
+	for _, r := range v.reads {
+		if isChild(r.delta) || slices.ContainsFunc(fields[statics:], func(f fieldSlot) bool { return f.delta == r.delta }) {
 			continue
 		}
-		key := ev.Val.String()
-		t := inf.refineBasic(inf.profileFor(func(a *Expr) bool {
-			return a.String() == key
-		}))
-		fields = append(fields, fieldSlot{delta: delta, typ: t})
+		fields = append(fields, fieldSlot{delta: r.delta})
+	}
+	slices.SortFunc(fields[statics:], func(a, b fieldSlot) int { return cmp.Compare(a.delta, b.delta) })
+	for i := statics; i < len(fields); i++ {
+		val := v.direct(fields[i].delta).Val
+		fields[i].typ = inf.refineBasic(inf.profileFor(func(a *Expr) bool { return a == val }))
 	}
 	if len(fields) == 0 {
 		return abi.String_()
@@ -438,13 +448,4 @@ func isNestedArray(t abi.Type) bool {
 	default:
 		return false
 	}
-}
-
-func withTerm(terms map[string]uint64, key string) map[string]uint64 {
-	out := make(map[string]uint64, len(terms)+1)
-	for k, v := range terms {
-		out[k] = v
-	}
-	out[key] = 1
-	return out
 }

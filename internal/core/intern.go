@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"sigrec/internal/evm"
@@ -10,9 +11,9 @@ import (
 // identical expressions are canonicalized to a single immutable node and
 // assigned a small integer id. Because every canonical node's children are
 // themselves canonical, the structural hash and the equality check are both
-// shallow — a key of scalar fields plus child *pointers* — so lookups never
-// recurse and pointer equality substitutes for deep comparison everywhere
-// downstream (event dedup, common-subexpression reuse).
+// shallow — scalar fields plus child ids and pointers — so lookups never
+// recurse and pointer identity is structural identity everywhere
+// downstream (event dedup, common-subexpression reuse, inference).
 //
 // An interner is confined to a single goroutine and lives for one trace. It
 // also holds the trace's event buffer and event dedup set, so everything a
@@ -26,29 +27,24 @@ import (
 //   - The event buffer and the dedup set ride along in the pooled struct, up
 //     to maxPooledEvents; a larger trace's buffer and set are dropped, so an
 //     adversarial trace cannot pin its event slice in the pool.
-//   - The node tables (apps, consts) are NOT pooled: clearing a map costs a
-//     full-table memclr that small traces would pay at the previous trace's
-//     high-water size, and generation-stamping retains stale trees that
-//     bloat the GC-scanned heap. A fresh small table that grows to the
-//     trace's own size measures faster than both. The dedup set is cheap to
-//     pool by comparison: it holds one small entry per event, and the cap
-//     bounds what a clear can cost.
+//   - The node table rides along too, up to maxPooledTable slots. recycle
+//     empties it by visiting the trace's own nodes (clearTable), so a small
+//     trace after a large one pays for its own nodes, not for the table's
+//     high-water size; a table past the cap is dropped.
 //
 // Only the recovery pipeline recycles, and only once nothing can reach the
 // trace (see recycle). Traces handed to callers (TraceFunction) keep their
-// interner, so a caller may hold their events and nodes for as long as it
-// likes.
-//
-// Nodes are split across tables by kind so every key is compact —
-// applications hash 32 bytes (three child pointers plus a packed tag)
-// instead of one wide struct carrying a Word and a string for all kinds.
-// Environment nodes need no table: each is fresh by construction.
+// interner, less its node table (see release), so a caller may hold their
+// events and nodes for as long as it likes.
 type interner struct {
-	// apps holds KindApp, KindCData, and KindCSize nodes; the tag packs
-	// kind, opcode, and arity.
-	apps map[appInternKey]*Expr
-	// consts holds constant nodes too large for the smallConst cache.
-	consts map[evm.Word]*Expr
+	// table is the open-addressed node table (linear probing, power-of-two
+	// length, nil slots empty). It holds the KindApp, KindCData and
+	// KindCSize nodes and the constants too large for smallConst. It
+	// stores no keys: a probe compares a candidate's own fields, and a
+	// resize rehashes each node from them (nodeHash). used counts the
+	// occupied slots; the table doubles past 3/4 load.
+	table []*Expr
+	used  int
 
 	nextID uint32
 	// envSeq numbers the environment nodes of this trace.
@@ -81,21 +77,14 @@ type interner struct {
 	argChunks  *argChunk
 
 	// smallConst holds the canonical nodes for constants 0..255 instead
-	// of the consts table — stack offsets, head offsets, and mask widths
+	// of the table — stack offsets, head offsets, and mask widths
 	// dominate constW traffic, and a direct index avoids hashing.
-	smallConst [256]*Expr
-}
-
-// appInternKey is the shallow structural identity of an application-shaped
-// node. Child pointers are canonical, so pointer equality on a0..a2 is
-// structural equality of the subtrees. Pure EVM opcodes pop at most three
-// operands (ADDMOD and MULMOD), which bounds the arity.
-type appInternKey struct {
-	a0, a1, a2 *Expr
-	tag        uint32
+	smallConst [numSmallConst]*Expr
 }
 
 // appTag packs the discriminating scalars of an application-shaped node.
+// Pure EVM opcodes pop at most three operands (ADDMOD and MULMOD), which
+// bounds the arity.
 func appTag(kind ExprKind, op evm.Op, nargs int) uint32 {
 	return uint32(kind)<<16 | uint32(op)<<8 | uint32(nargs)
 }
@@ -107,6 +96,17 @@ const (
 	// buffer, above every trace of the golden corpora and far below what
 	// a budget-bound adversarial trace collects.
 	maxPooledEvents = 512
+	// maxPooledTable caps the node table a recycled interner keeps: 1,024
+	// slots are 8 KiB, the largest table of the golden corpora.
+	maxPooledTable = 1024
+	// numSmallConst is how many small constants smallConst indexes.
+	numSmallConst = 256
+	// minNodeTable is the node table's first size in slots (256 B): it
+	// holds the table nodes of most one-function traces without a resize.
+	minNodeTable = 32
+	// hashMul is the 64-bit golden-ratio multiplier; the table indexes by
+	// the top bits of the product, which depend on every input bit.
+	hashMul = 0x9e3779b97f4a7c15
 )
 
 // The pooled slab chunks, linked through next so an interner can track the
@@ -181,22 +181,54 @@ func (it *interner) ownArgs(args []*Expr) []*Expr {
 	return owned
 }
 
-// newInterner takes an interner from the pool with fresh node tables.
+// newInterner takes an interner from the pool. Its node table is the
+// pooled one, emptied, or is allocated on the first install.
 func newInterner() *interner {
 	it := internerPool.Get().(*interner)
-	// No size hints: most traces are small, and empty tables are cheap.
-	it.apps = make(map[appInternKey]*Expr)
-	it.consts = make(map[evm.Word]*Expr)
 	if it.seen == nil {
 		it.seen = make(map[eventID]bool)
 	}
 	return it
 }
 
-// release drops the lookup structures. The canonical nodes themselves live
-// on in the recorded events.
+// release drops the node table of a trace that will not be recycled
+// (TraceFunction hands it to the caller), so a held trace does not hold
+// its lookup structure. The canonical nodes themselves live on in the
+// recorded events.
 func (it *interner) release() {
-	it.apps, it.consts = nil, nil
+	it.table, it.used = nil, 0
+}
+
+// clearTable empties the node table for the next trace, or drops it past
+// maxPooledTable. It visits the nodes this trace installed, not the
+// table's slots: each table node is found from its home slot by scanning
+// past the slots already cleared (a node installed after a release is in
+// no table, and the scan gives up on it after one lap).
+func (it *interner) clearTable() {
+	if len(it.table) > maxPooledTable {
+		it.release()
+		return
+	}
+	for c := it.exprChunks; c != nil && it.used > 0; c = c.next {
+		for i := range c.nodes {
+			n := &c.nodes[i]
+			if n.id == 0 || !inTable(n) {
+				continue
+			}
+			j, mask := it.home(nodeHash(n))
+			for k := 0; k < mask && it.table[j] != n; k++ {
+				j = (j + 1) & mask
+			}
+			if it.table[j] == n {
+				it.table[j] = nil
+				it.used--
+			}
+		}
+	}
+	if it.used != 0 { // not reached from the trace's nodes: never pool it full
+		clear(it.table)
+		it.used = 0
+	}
 }
 
 // recycle returns the interner and its slab chunks to their pools. Call it
@@ -208,6 +240,7 @@ func (it *interner) recycle() {
 	if it == nil {
 		return
 	}
+	it.clearTable()
 	for c := it.exprChunks; c != nil; {
 		next := c.next
 		*c = exprChunk{}
@@ -232,7 +265,7 @@ func (it *interner) recycle() {
 
 // reset zeroes the interner for its next trace, keeping the event buffer
 // and dedup set (emptied) only when the trace stayed within
-// maxPooledEvents.
+// maxPooledEvents, and the node table emptied by clearTable.
 func (it *interner) reset() {
 	events, seen := it.events, it.seen
 	if cap(events) > maxPooledEvents { // seen holds one entry per event
@@ -241,7 +274,106 @@ func (it *interner) reset() {
 		clear(events) // drop node references so the pool pins no trace
 		clear(seen)
 	}
-	*it = interner{events: events[:0], seen: seen}
+	*it = interner{events: events[:0], seen: seen, table: it.table}
+}
+
+// inTable reports whether an installed node lives in the node table:
+// environment nodes and the constants below numSmallConst do not.
+func inTable(n *Expr) bool {
+	switch n.Kind {
+	case KindEnv:
+		return false
+	case KindConst:
+		v, fits := n.Conc.Uint64()
+		return !fits || v >= numSmallConst
+	}
+	return true
+}
+
+// appHash hashes an application-shaped node by its tag and its operands'
+// ids (operands are canonical, so their ids are their identity).
+func appHash(tag uint32, args []*Expr) uint64 {
+	h := uint64(tag)
+	for _, a := range args {
+		h = h*hashMul + uint64(a.id)
+	}
+	return h * hashMul
+}
+
+// wordHash hashes a constant by its limbs.
+func wordHash(w evm.Word) uint64 {
+	var h uint64
+	for _, l := range w.Limbs() {
+		h = h*hashMul + l
+	}
+	return h * hashMul
+}
+
+// nodeHash recomputes the hash a table node was installed under.
+func nodeHash(e *Expr) uint64 {
+	if e.Kind == KindConst {
+		return wordHash(*e.Conc)
+	}
+	return appHash(appTag(e.Kind, e.Op, len(e.Args)), e.Args)
+}
+
+// home returns h's home slot, the top bits of h, and the table's index
+// mask, allocating the table on the first probe. Probes step linearly
+// from the home slot; the table is never full, so every probe ends at a
+// match or an empty slot.
+func (it *interner) home(h uint64) (int, int) {
+	if it.table == nil {
+		it.table = make([]*Expr, minNodeTable)
+	}
+	mask := len(it.table) - 1
+	return int(h >> (64 - bits.Len(uint(mask)))), mask
+}
+
+// install puts a new node into the empty slot i its lookup ended on, and
+// doubles the table past 3/4 load.
+func (it *interner) install(i int, e *Expr) {
+	it.table[i] = e
+	it.used++
+	if it.used*4 <= len(it.table)*3 {
+		return
+	}
+	old := it.table
+	it.table = make([]*Expr, 2*len(old))
+	for _, n := range old {
+		if n == nil {
+			continue
+		}
+		j, mask := it.home(nodeHash(n))
+		for it.table[j] != nil {
+			j = (j + 1) & mask
+		}
+		it.table[j] = n
+	}
+}
+
+// lookupApp probes for the canonical node of kind with op over args,
+// returning its slot and the node, or the empty slot to install it in.
+func (it *interner) lookupApp(kind ExprKind, op evm.Op, args []*Expr) (int, *Expr) {
+	i, mask := it.home(appHash(appTag(kind, op, len(args)), args))
+	for ; ; i = (i + 1) & mask {
+		e := it.table[i]
+		if e == nil || e.sameApp(kind, op, args) {
+			return i, e
+		}
+	}
+}
+
+// sameApp reports whether e is the node of kind with op over args.
+func (e *Expr) sameApp(kind ExprKind, op evm.Op, args []*Expr) bool {
+	if e.Kind != kind || e.Op != op || len(e.Args) != len(args) {
+		return false
+	}
+	for j, a := range args {
+		if e.Args[j] != a {
+			return false
+		}
+	}
+	return true
 }
 
 // assignID gives e the next id and counts the install.
@@ -254,28 +386,34 @@ func (it *interner) assignID(e *Expr) *Expr {
 
 // constW returns the canonical constant node for w.
 func (it *interner) constW(w evm.Word) *Expr {
-	v, small := w.Uint64()
-	small = small && v < uint64(len(it.smallConst))
-	var e *Expr
-	if small {
-		e = it.smallConst[v]
-	} else {
-		e = it.consts[w]
-	}
-	if e != nil {
-		it.hits++
+	v, fits := w.Uint64()
+	if fits && v < numSmallConst {
+		if e := it.smallConst[v]; e != nil {
+			it.hits++
+			return e
+		}
+		e := it.newConst(w)
+		it.smallConst[v] = e
 		return e
 	}
-	e = it.newExpr()
+	i, mask := it.home(wordHash(w))
+	for ; it.table[i] != nil; i = (i + 1) & mask {
+		if e := it.table[i]; e.Kind == KindConst && e.Conc.Eq(w) {
+			it.hits++
+			return e
+		}
+	}
+	e := it.newConst(w)
+	it.install(i, e)
+	return e
+}
+
+// newConst builds and numbers a constant node.
+func (it *interner) newConst(w evm.Word) *Expr {
+	e := it.newExpr()
 	e.Kind = KindConst
 	e.Conc = it.newWord(w)
-	it.assignID(e)
-	if small {
-		it.smallConst[v] = e
-	} else {
-		it.consts[w] = e
-	}
-	return e
+	return it.assignID(e)
 }
 
 // constUint is constW for small values.
@@ -283,31 +421,32 @@ func (it *interner) constUint(v uint64) *Expr { return it.constW(evm.WordFromUin
 
 // cdata returns the canonical CALLDATALOAD(off) node; off must be canonical.
 func (it *interner) cdata(off *Expr) *Expr {
-	k := appInternKey{tag: appTag(KindCData, 0, 1), a0: off}
-	if e, ok := it.apps[k]; ok {
+	args := [1]*Expr{off}
+	i, e := it.lookupApp(KindCData, 0, args[:])
+	if e != nil {
 		it.hits++
 		return e
 	}
-	e := it.newExpr()
+	e = it.newExpr()
 	e.Kind = KindCData
-	e.Args = it.ownArgs([]*Expr{off})
+	e.Args = it.ownArgs(args[:])
 	e.cdata = true
 	it.assignID(e)
-	it.apps[k] = e
+	it.install(i, e)
 	return e
 }
 
 // csize returns the canonical CALLDATASIZE node.
 func (it *interner) csize() *Expr {
-	k := appInternKey{tag: appTag(KindCSize, 0, 0)}
-	if e, ok := it.apps[k]; ok {
+	i, e := it.lookupApp(KindCSize, 0, nil)
+	if e != nil {
 		it.hits++
 		return e
 	}
-	e := it.newExpr()
+	e = it.newExpr()
 	e.Kind = KindCSize
 	it.assignID(e)
-	it.apps[k] = e
+	it.install(i, e)
 	return e
 }
 
@@ -323,22 +462,6 @@ func (it *interner) fresh(label string) *Expr {
 	return it.assignID(e)
 }
 
-// appKey builds the application key over canonical operands.
-func appKey(op evm.Op, args []*Expr) appInternKey {
-	k := appInternKey{tag: appTag(KindApp, op, len(args))}
-	switch len(args) {
-	case 3:
-		k.a2 = args[2]
-		fallthrough
-	case 2:
-		k.a1 = args[1]
-		fallthrough
-	case 1:
-		k.a0 = args[0]
-	}
-	return k
-}
-
 // app returns the canonical Op(args...) node, folding concretely on first
 // construction; args must be canonical and at most three (every pure EVM
 // opcode satisfies this). The args slice is only retained on a miss.
@@ -350,12 +473,12 @@ func (it *interner) app(op evm.Op, args ...*Expr) *Expr {
 // slice (or a sub-slice of a scratch array — a slab copy is made on miss
 // so the canonical node never aliases caller scratch space).
 func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
-	k := appKey(op, args)
-	if e, ok := it.apps[k]; ok {
+	i, e := it.lookupApp(KindApp, op, args)
+	if e != nil {
 		it.hits++
 		return e
 	}
-	e := it.newExpr()
+	e = it.newExpr()
 	e.Kind = KindApp
 	e.Op = op
 	e.Args = it.ownArgs(args)
@@ -366,6 +489,6 @@ func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
 		e.cdata = e.cdata || a.ContainsCData()
 	}
 	it.assignID(e)
-	it.apps[k] = e
+	it.install(i, e)
 	return e
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -148,13 +150,13 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 	it := newInterner()
 	for i := 0; i < internSlabLen; i++ {
 		e := it.constUint(uint64(1000 + i))
-		e.str = "x"
+		e.Env = "x"
 	}
 	it.recycle()
 	it2 := newInterner()
 	for i := 0; i < internSlabLen; i++ {
 		if e := it2.newExpr(); e.Kind != 0 || e.Conc != nil || e.Args != nil || e.Env != "" ||
-			e.Seq != 0 || e.id != 0 || e.str != "" {
+			e.Seq != 0 || e.id != 0 || e.cdata {
 			t.Fatalf("node %d of a recycled chunk is not zeroed: %+v", i, *e)
 		}
 	}
@@ -208,5 +210,184 @@ func TestInternedTaintMatchesTreeWalk(t *testing.T) {
 	}
 	if tainted == 0 || tainted == nodes {
 		t.Fatalf("checked %d nodes, %d tainted: the corpora should yield both kinds", nodes, tainted)
+	}
+}
+
+// traceNodes returns every node an interner installed, in id order (which
+// is construction order: a node's operands always precede it).
+func traceNodes(it *interner) []*Expr {
+	var nodes []*Expr
+	for c := it.exprChunks; c != nil; c = c.next {
+		for i := range c.nodes {
+			if e := &c.nodes[i]; e.id != 0 {
+				nodes = append(nodes, e)
+			}
+		}
+	}
+	slices.SortFunc(nodes, func(a, b *Expr) int { return cmp.Compare(a.id, b.id) })
+	return nodes
+}
+
+// reintern builds n's counterpart in it from the counterparts of its
+// operands.
+func reintern(it *interner, n *Expr, twin map[*Expr]*Expr) *Expr {
+	switch n.Kind {
+	case KindConst:
+		return it.constW(*n.Conc)
+	case KindCData:
+		return it.cdata(twin[n.Args[0]])
+	case KindCSize:
+		return it.csize()
+	case KindEnv:
+		return it.fresh(n.Env)
+	default:
+		args := make([]*Expr, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = twin[a]
+		}
+		return it.appN(n.Op, args)
+	}
+}
+
+// TestNodeTableIdentity: over every exploration of both golden corpora
+// (E1 seed 1 and dataset 2 seed 1, dispatcher walks included) and one
+// synthetic trace too large for the table pool, the nodes one trace
+// installed, rebuilt in a fresh interner in construction order, all miss:
+// no two installed nodes share a structural key. Looked up again, each is
+// found by its own key and comes back as the same node. The fresh tables
+// grow from minNodeTable as the traces' do, so the check crosses several
+// resizes, and the synthetic trace's table grows past maxPooledTable.
+func TestNodeTableIdentity(t *testing.T) {
+	e1, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces, maxTable int
+	check := func(orig *interner) {
+		defer orig.recycle()
+		nodes := traceNodes(orig)
+		it := new(interner) // not pooled: its table starts at minNodeTable
+		defer it.recycle()
+		twin := make(map[*Expr]*Expr, len(nodes))
+		for _, n := range nodes {
+			twin[n] = reintern(it, n, twin)
+			if it.hits != 0 {
+				t.Fatalf("%s installed twice: it shares a structural key with an earlier node", n)
+			}
+		}
+		if it.misses != orig.misses {
+			t.Fatalf("rebuilt %d nodes, the trace installed %d", it.misses, orig.misses)
+		}
+		for _, n := range nodes {
+			if n.Kind == KindEnv {
+				continue // fresh by construction: an environment value has no key
+			}
+			if got := reintern(it, n, twin); got != twin[n] {
+				t.Fatalf("%s: its own key finds %s", n, got)
+			}
+		}
+		if it.misses != orig.misses {
+			t.Fatalf("a lookup of an installed node missed")
+		}
+		traces++
+		maxTable = max(maxTable, len(it.table))
+	}
+	walked := make(map[string]bool)
+	for _, e := range slices.Concat(e1.Entries, synth) {
+		program := evm.Disassemble(e.Code)
+		if !walked[string(e.Code)] {
+			walked[string(e.Code)] = true
+			walk := newTASE(program, nil, defaultLimits())
+			walk.run()
+			check(walk.it)
+		}
+		check(TraceFunction(program, e.Sig.Selector()).it)
+	}
+	if maxTable < minNodeTable<<3 {
+		t.Fatalf("the largest golden table has %d slots: fewer than three resizes from %d", maxTable, minNodeTable)
+	}
+	big := new(interner)
+	x := big.cdata(big.constUint(4))
+	for i := 0; i < 2*maxPooledTable; i++ {
+		x = big.app(evm.ADD, x, big.constUint(uint64(numSmallConst+i)))
+	}
+	check(big)
+	if maxTable <= maxPooledTable {
+		t.Fatalf("the synthetic trace's table has %d slots, within the %d-slot pool cap", maxTable, maxPooledTable)
+	}
+	t.Logf("%d traces, largest table %d slots", traces, maxTable)
+}
+
+// cloneTrace copies a trace's events onto nodes built outside any
+// interner (id 0), keeping the sharing of the original: one node of the
+// trace becomes one node of the clone.
+func cloneTrace(tr Trace) Trace {
+	twin := make(map[*Expr]*Expr)
+	var clone func(e *Expr) *Expr
+	clone = func(e *Expr) *Expr {
+		if e == nil {
+			return nil
+		}
+		if c, ok := twin[e]; ok {
+			return c
+		}
+		c := &Expr{Kind: e.Kind, Conc: e.Conc, Op: e.Op, Env: e.Env, Seq: e.Seq}
+		for _, a := range e.Args {
+			c.Args = append(c.Args, clone(a))
+		}
+		twin[e] = c
+		return c
+	}
+	out := Trace{Selector: tr.Selector, Truncated: tr.Truncated}
+	for _, ev := range tr.Events {
+		ev.Off, ev.Val, ev.Src, ev.Len = clone(ev.Off), clone(ev.Val), clone(ev.Src), clone(ev.Len)
+		args := make([]*Expr, len(ev.Args))
+		for i, a := range ev.Args {
+			args[i] = clone(a)
+		}
+		ev.Args = args
+		guards := make([]Guard, len(ev.Guards))
+		for i, g := range ev.Guards {
+			g.Cond = clone(g.Cond)
+			guards[i] = g
+		}
+		ev.Guards = guards
+		out.Events = append(out.Events, ev)
+	}
+	return out
+}
+
+// TestHandBuiltTraceInfersAlike: a trace whose nodes were built outside an
+// interner (id 0, so no per-node memo slot) infers exactly as the
+// interned trace it copies, over a sample of both golden corpora.
+func TestHandBuiltTraceInfersAlike(t *testing.T) {
+	e1, err := corpus.Generate(corpus.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(d Inferred) string {
+		return fmt.Sprintf("%v %v %v %v", d.Types, d.ParamRules, d.Language, d.Stats)
+	}
+	entries := slices.Concat(e1.Entries, synth)
+	checked := 0
+	for i := 0; i < len(entries); i += 7 {
+		e := entries[i]
+		tr := TraceFunction(evm.Disassemble(e.Code), e.Sig.Selector())
+		want, got := render(Infer(tr)), render(Infer(cloneTrace(tr)))
+		if got != want {
+			t.Fatalf("entry %d (%s): hand-built trace infers %s, interned %s", i, e.Sig, got, want)
+		}
+		checked++
+	}
+	if checked < 400 {
+		t.Fatalf("only %d traces checked", checked)
 	}
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // renderTrace renders every event of a trace field by field, walking each
-// expression afresh (Expr.render, not the cached String) and then adding
-// the cached strings, so a node whose slab slot was zeroed or reused shows
-// up either way. Nil operands render as "<nil>" instead of panicking.
+// expression afresh, so a node whose slab slot was zeroed or reused shows
+// up. Nil operands render as "<nil>" instead of panicking.
 func renderTrace(tr Trace) string {
 	var b strings.Builder
 	expr := func(e *Expr) {
@@ -23,8 +22,6 @@ func renderTrace(tr Trace) string {
 			return
 		}
 		e.render(&b, 0)
-		b.WriteString("|")
-		b.WriteString(e.str)
 	}
 	fmt.Fprintf(&b, "%x truncated=%v events=%d\n", tr.Selector, tr.Truncated, len(tr.Events))
 	for _, ev := range tr.Events {
@@ -104,7 +101,8 @@ func TestHeldTracesSurviveRecycling(t *testing.T) {
 
 // TestPoolsDropOverCapBuffers: a recycled interner keeps its event buffer
 // and dedup set, emptied and with no node left reachable, only while the
-// trace stayed within maxPooledEvents; a disassembly goes back to its pool
+// trace stayed within maxPooledEvents, and its node table only up to
+// maxPooledTable slots; a disassembly goes back to its pool
 // only while its buffers fit maxPooledProgramBytes. An adversarial trace
 // or a large contract must not pin its memory in a pool.
 func TestPoolsDropOverCapBuffers(t *testing.T) {
@@ -136,6 +134,35 @@ func TestPoolsDropOverCapBuffers(t *testing.T) {
 	big.reset()
 	if big.events != nil || big.seen != nil {
 		t.Fatalf("a %d-event trace's buffer (cap %d) and dedup set stayed pooled", maxPooledEvents+1, cap(big.events))
+	}
+
+	// The node table: emptied and kept up to maxPooledTable slots, dropped
+	// past them.
+	table := func(nodes int) *interner {
+		it := new(interner)
+		for i := 0; i < nodes; i++ {
+			it.constUint(uint64(numSmallConst + i))
+		}
+		return it
+	}
+	kept := table(maxPooledTable / 2)
+	kept.clearTable()
+	kept.reset()
+	if len(kept.table) != maxPooledTable || kept.used != 0 {
+		t.Fatalf("a %d-slot table was not kept empty: %d slots, %d used", maxPooledTable, len(kept.table), kept.used)
+	}
+	for i, e := range kept.table {
+		if e != nil {
+			t.Fatalf("kept table slot %d still points at a node", i)
+		}
+	}
+	if e := kept.constUint(numSmallConst); e.id != 1 || kept.hits != 0 {
+		t.Fatalf("the emptied table found a stale node: id %d, %d hits", e.id, kept.hits)
+	}
+	dropped := table(maxPooledTable)
+	dropped.clearTable()
+	if dropped.table != nil {
+		t.Fatalf("a %d-slot table stayed pooled", 2*maxPooledTable)
 	}
 
 	smallCode := make([]byte, 1024)

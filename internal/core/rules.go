@@ -121,20 +121,10 @@ func newProfile() profile { return profile{signExtendK: -1} }
 
 // observe folds one op event into the profile, given a predicate that
 // recognizes the value's atoms.
-func (p *profile) observe(ev Event, isValue func(*Expr) bool) {
+func (p *profile) observe(ev *Event, isValue func(*Expr) bool) {
 	// direct: the operand IS the value (not just derived from it)
-	direct := func(e *Expr) bool { return isValue(e) }
-	contains := func(e *Expr) bool {
-		if isValue(e) {
-			return true
-		}
-		for _, a := range e.CDataAtoms() {
-			if isValue(a) {
-				return true
-			}
-		}
-		return false
-	}
+	direct := isValue
+	contains := func(e *Expr) bool { return isValue(e) || anyCDataAtom(e, isValue) }
 	switch ev.Op {
 	case evm.AND:
 		c, v := ev.Args[0], ev.Args[1]

@@ -382,7 +382,8 @@ func RecoverFunction(code []byte, selector abi.Selector) (RecoveredFunction, Rul
 	start := time.Now()
 	program := loadProgram(code)
 	defer releaseProgram(program)
-	tr := TraceFunction(program, selector)
+	tr, t := traceFunctionEngine(program, selector, defaultLimits())
+	meterTASE(t)
 	d := inferRecycled(tr)
 	mRecoverUS.ObserveDuration(time.Since(start))
 	return RecoveredFunction{

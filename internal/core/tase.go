@@ -311,11 +311,8 @@ func (t *tase) run() []Event {
 			t.releaseState(st)
 		}
 	}
-	// The interner's lookup tables are dead once exploration ends; dropping
-	// them here keeps them out of the live heap while the trace waits for
-	// inference and the merge. The dedup set stays with the interner, to
-	// be emptied and reused when it is recycled.
-	t.it.release()
+	// The node table and the dedup set stay with the interner, to be
+	// emptied and reused when it is recycled.
 	t.events, t.internHits, t.internMisses = len(t.it.events), t.it.hits, t.it.misses
 	return t.it.events
 }
@@ -781,6 +778,7 @@ func findCopy(copies []memCopy, addr uint64) (memCopy, bool) {
 // pipeline telemetry.
 func TraceFunction(program *Program, selector [4]byte) Trace {
 	tr, t := traceFunctionEngine(program, selector, defaultLimits())
+	tr.it.release() // the caller holds the trace; it is never recycled
 	meterTASE(t)
 	return tr
 }

@@ -171,6 +171,10 @@ func (w Word) Sign() int {
 // Eq reports whether two words are equal.
 func (w Word) Eq(o Word) bool { return w.limbs == o.limbs }
 
+// Limbs returns the four 64-bit limbs, least significant first (for
+// hashing a word without rendering it).
+func (w Word) Limbs() [4]uint64 { return w.limbs }
+
 // Cmp compares unsigned values: -1 if w < o, 0 if equal, 1 if w > o.
 func (w Word) Cmp(o Word) int {
 	for i := 3; i >= 0; i-- {
