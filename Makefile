@@ -28,9 +28,14 @@ test:
 # ./internal/scan runs RecoverContext concurrently with both a result
 # cache and an event log, so it races the cache-hit half of the engine's
 # per-recovery record. ./internal/daemon's Close shuts the debug listener
-# down while the exporter and event-log goroutines drain.
+# down while the exporter and event-log goroutines drain. The recycling
+# tests run 10 more times: interners, slab chunks (nodes, guard and
+# copy-region chains) and event buffers pass between goroutines through
+# sync.Pools, and a chunk recycled while a trace still reaches it shows up
+# on some schedules only (~20 s).
 race:
 	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan ./internal/daemon
+	$(GO) test -race -count=10 -run '^(TestInternerRecycleConcurrent|TestHeldTracesSurviveRecycling|TestPoolsDropOverCapBuffers|TestGuardChains)$$' ./internal/core
 
 # Re-record the per-signature golden (internal/core/testdata/
 # signatures.golden) and the engine-counter golden (engine_counts.golden)

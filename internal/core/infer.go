@@ -452,25 +452,37 @@ func loopBound(g Guard) (*Expr, bool) {
 
 // guardDims extracts the loop dimension bounds controlling an event,
 // outermost first: constant bounds yield static dimensions, call-data-
-// derived bounds dynamic ones (nil entry).
+// derived bounds dynamic ones (nil entry). Of several guards at one JUMPI
+// pc, the outermost one counts.
 func guardDims(ev *Event) (constDims []uint64, dynCount int) {
-	seen := make(map[uint64]bool)
-	for _, g := range ev.Guards {
-		if seen[g.PC] || !g.Controls(ev.PC) {
+	type loopGuard struct {
+		pc    uint64
+		bound *Expr
+	}
+	// The chain runs innermost first: collect the loop guards, then read
+	// them back outermost first. The buffer holds Fig. 18's 20 dimensions.
+	var buf [32]loopGuard
+	loops := buf[:0]
+	for n := ev.guards; n != nil; n = n.parent {
+		if !n.Controls(ev.PC) {
 			continue
 		}
-		bound, ok := loopBound(g)
-		if !ok {
-			continue
+		if bound, ok := loopBound(n.Guard); ok {
+			loops = append(loops, loopGuard{n.PC, bound})
 		}
-		seen[g.PC] = true
-		if v, isConst := bound.ConstUint(); isConst {
+	}
+	for i := len(loops) - 1; i >= 0; i-- {
+		g := loops[i]
+		if slices.ContainsFunc(loops[i+1:], func(o loopGuard) bool { return o.pc == g.pc }) {
+			continue // an enclosing guard at this pc already counted
+		}
+		if v, isConst := g.bound.ConstUint(); isConst {
 			if v >= 1 && v <= 1<<20 {
 				constDims = append(constDims, v)
 			}
 			continue
 		}
-		if bound.ContainsCData() {
+		if g.bound.ContainsCData() {
 			dynCount++
 		}
 	}

@@ -158,8 +158,8 @@ func (inf *inference) markBounds() {
 		}
 	}
 	for _, ev := range inf.events {
-		for _, g := range ev.Guards {
-			if bound, ok := loopBound(g); ok {
+		for g := ev.guards; g != nil; g = g.parent {
+			if bound, ok := loopBound(g.Guard); ok {
 				mark(bound)
 			}
 		}

@@ -22,8 +22,9 @@ import (
 // What is pooled, and what is not:
 //   - The struct itself (internerPool): smallConst makes it 2 KiB, and every
 //     recovery builds one for the dispatcher walk and one per selector.
-//   - The Expr, Word and Args slab chunks (exprChunkPool, wordChunkPool,
-//     argChunkPool): fixed-size arrays, whatever the trace's size.
+//   - The slab chunks behind the Expr nodes, their Words and Args, and the
+//     exploration's guard and copy-region chains (one chunkPool each):
+//     fixed-size arrays, whatever the trace's size.
 //   - The event buffer and the dedup set ride along in the pooled struct, up
 //     to maxPooledEvents; a larger trace's buffer and set are dropped, so an
 //     adversarial trace cannot pin its event slice in the pool.
@@ -66,15 +67,13 @@ type interner struct {
 	// lifetime (nothing outlives the recovery holding an *Expr), so whole
 	// chunks die together and the per-node allocation disappears; the
 	// recovery pipeline goes further and recycles the chunks into the next
-	// trace (see recycle).
-	exprSlab []Expr
-	wordSlab []evm.Word
-	argSlab  []*Expr
-	// The chunk lists chain the pooled chunks behind the slabs, newest
-	// first, so recycle can hand them back.
-	exprChunks *exprChunk
-	wordChunks *wordChunk
-	argChunks  *argChunk
+	// trace (see recycle). The exploration carves its paths' guard and
+	// copy-region chains from the same kind of slab.
+	exprs  slab[Expr]
+	words  slab[evm.Word]
+	args   slab[*Expr]
+	guards slab[guardNode]
+	copies slab[copyNode]
 
 	// smallConst holds the canonical nodes for constants 0..255 instead
 	// of the table — stack offsets, head offsets, and mask widths
@@ -109,56 +108,91 @@ const (
 	hashMul = 0x9e3779b97f4a7c15
 )
 
-// The pooled slab chunks, linked through next so an interner can track the
-// chunks it holds without allocating.
-type exprChunk struct {
-	nodes [internSlabLen]Expr
-	next  *exprChunk
+// chunk is one pooled slab array, linked through next so an interner can
+// track the chunks it holds without allocating.
+type chunk[T any] struct {
+	items [internSlabLen]T
+	next  *chunk[T]
 }
 
-type wordChunk struct {
-	words [internSlabLen]evm.Word
-	next  *wordChunk
-}
-
-type argChunk struct {
-	args [internSlabLen]*Expr
-	next *argChunk
+// slab carves values out of pooled chunks. free is the uncarved tail of the
+// newest chunk; the chunks are chained newest first.
+type slab[T any] struct {
+	free   []T
+	chunks *chunk[T]
 }
 
 // The pools recycle interners and slab chunks from one trace to the next.
 // A recovery's heap is otherwise almost all garbage, so reusing them sets
-// how often the collector runs. Expr and Args chunks go back zeroed (they
-// hold pointers); word chunks need no clearing, newWord overwrites each
-// slot.
+// how often the collector runs. Every chunk but a word chunk goes back
+// zeroed (they hold pointers); word chunks need no clearing, newWord
+// overwrites each slot.
 var (
-	internerPool  = sync.Pool{New: func() any { return new(interner) }}
-	exprChunkPool = sync.Pool{New: func() any { return new(exprChunk) }}
-	wordChunkPool = sync.Pool{New: func() any { return new(wordChunk) }}
-	argChunkPool  = sync.Pool{New: func() any { return new(argChunk) }}
+	internerPool   = sync.Pool{New: func() any { return new(interner) }}
+	exprChunkPool  = chunkPool[Expr]()
+	wordChunkPool  = chunkPool[evm.Word]()
+	argChunkPool   = chunkPool[*Expr]()
+	guardChunkPool = chunkPool[guardNode]()
+	copyChunkPool  = chunkPool[copyNode]()
 )
+
+// chunkPool returns a pool of chunk[T]s.
+func chunkPool[T any]() *sync.Pool {
+	return &sync.Pool{New: func() any { return new(chunk[T]) }}
+}
+
+// take carves n consecutive values (n <= internSlabLen), starting a chunk
+// from pool when the newest one has too few left.
+func (s *slab[T]) take(pool *sync.Pool, n int) []T {
+	if len(s.free) < n {
+		s.grow(pool)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// grow starts a new newest chunk, kept out of take so take inlines.
+func (s *slab[T]) grow(pool *sync.Pool) {
+	c := pool.Get().(*chunk[T])
+	c.next, s.chunks = s.chunks, c
+	s.free = c.items[:]
+}
+
+// carved returns the prefix of c that take handed out: all of an older
+// chunk (an ownArgs chunk may end in a few never-carved, still zero slots),
+// and the newest chunk up to its free tail.
+func (s *slab[T]) carved(c *chunk[T]) []T {
+	if c == s.chunks {
+		return c.items[:internSlabLen-len(s.free)]
+	}
+	return c.items[:]
+}
+
+// recycle hands every chunk back to pool and empties the slab. With zero
+// set it clears the carved prefixes first, so the pool holds only zeroed
+// chunks without re-zeroing what a trace never touched.
+func (s *slab[T]) recycle(pool *sync.Pool, zero bool) {
+	for c := s.chunks; c != nil; {
+		next := c.next
+		if zero {
+			clear(s.carved(c))
+		}
+		c.next = nil
+		pool.Put(c)
+		c = next
+	}
+	*s = slab[T]{}
+}
 
 // newExpr carves one zeroed node from the slab.
 func (it *interner) newExpr() *Expr {
-	if len(it.exprSlab) == 0 {
-		c := exprChunkPool.Get().(*exprChunk)
-		c.next, it.exprChunks = it.exprChunks, c
-		it.exprSlab = c.nodes[:]
-	}
-	e := &it.exprSlab[0]
-	it.exprSlab = it.exprSlab[1:]
-	return e
+	return &it.exprs.take(exprChunkPool, 1)[0]
 }
 
 // newWord stores w in the word slab and returns its address.
 func (it *interner) newWord(w evm.Word) *evm.Word {
-	if len(it.wordSlab) == 0 {
-		c := wordChunkPool.Get().(*wordChunk)
-		c.next, it.wordChunks = it.wordChunks, c
-		it.wordSlab = c.words[:]
-	}
-	p := &it.wordSlab[0]
-	it.wordSlab = it.wordSlab[1:]
+	p := &it.words.take(wordChunkPool, 1)[0]
 	*p = w
 	return p
 }
@@ -166,19 +200,30 @@ func (it *interner) newWord(w evm.Word) *evm.Word {
 // ownArgs copies the operands into slab-backed storage (callers pass
 // scratch arrays that must not be aliased by the canonical node).
 func (it *interner) ownArgs(args []*Expr) []*Expr {
-	n := len(args)
-	if n == 0 {
+	if len(args) == 0 {
 		return nil
 	}
-	if len(it.argSlab) < n {
-		c := argChunkPool.Get().(*argChunk)
-		c.next, it.argChunks = it.argChunks, c
-		it.argSlab = c.args[:]
-	}
-	owned := it.argSlab[:n:n]
-	it.argSlab = it.argSlab[n:]
+	owned := it.args.take(argChunkPool, len(args))
 	copy(owned, args)
 	return owned
+}
+
+// pushGuard returns the guard chain parent extended by g. The chain is
+// persistent: parent is shared, never copied, by every path forked under it.
+func (it *interner) pushGuard(parent *guardNode, g Guard) *guardNode {
+	n := &it.guards.take(guardChunkPool, 1)[0]
+	n.Guard, n.parent, n.depth = g, parent, 1
+	if parent != nil {
+		n.depth += parent.depth
+	}
+	return n
+}
+
+// pushCopy returns the copy-region chain next with one newer region in front.
+func (it *interner) pushCopy(next *copyNode, dst uint64, src, ln *Expr) *copyNode {
+	n := &it.copies.take(copyChunkPool, 1)[0]
+	*n = copyNode{dst: dst, src: src, ln: ln, next: next}
+	return n
 }
 
 // newInterner takes an interner from the pool. Its node table is the
@@ -200,19 +245,25 @@ func (it *interner) release() {
 }
 
 // clearTable empties the node table for the next trace, or drops it past
-// maxPooledTable. It visits the nodes this trace installed, not the
-// table's slots: each table node is found from its home slot by scanning
-// past the slots already cleared (a node installed after a release is in
-// no table, and the scan gives up on it after one lap).
+// maxPooledTable, and nils the smallConst entries. It visits the nodes this
+// trace installed, not the table's slots: each table node is found from its
+// home slot by scanning past the slots already cleared (a node installed
+// after a release is in no table, and the scan gives up on it after one
+// lap).
 func (it *interner) clearTable() {
 	if len(it.table) > maxPooledTable {
 		it.release()
-		return
 	}
-	for c := it.exprChunks; c != nil && it.used > 0; c = c.next {
-		for i := range c.nodes {
-			n := &c.nodes[i]
-			if n.id == 0 || !inTable(n) {
+	for c := it.exprs.chunks; c != nil; c = c.next {
+		for i := range it.exprs.carved(c) {
+			n := &c.items[i]
+			if n.Kind == KindConst {
+				if v, fits := n.Conc.Uint64(); fits && v < numSmallConst {
+					it.smallConst[v] = nil
+					continue
+				}
+			}
+			if it.used == 0 || n.Kind == KindEnv {
 				continue
 			}
 			j, mask := it.home(nodeHash(n))
@@ -241,53 +292,30 @@ func (it *interner) recycle() {
 		return
 	}
 	it.clearTable()
-	for c := it.exprChunks; c != nil; {
-		next := c.next
-		*c = exprChunk{}
-		exprChunkPool.Put(c)
-		c = next
-	}
-	for c := it.wordChunks; c != nil; {
-		next := c.next
-		c.next = nil
-		wordChunkPool.Put(c)
-		c = next
-	}
-	for c := it.argChunks; c != nil; {
-		next := c.next
-		*c = argChunk{}
-		argChunkPool.Put(c)
-		c = next
-	}
+	it.exprs.recycle(exprChunkPool, true)
+	it.words.recycle(wordChunkPool, false)
+	it.args.recycle(argChunkPool, true)
+	it.guards.recycle(guardChunkPool, true)
+	it.copies.recycle(copyChunkPool, true)
 	it.reset()
 	internerPool.Put(it)
 }
 
-// reset zeroes the interner for its next trace, keeping the event buffer
+// reset readies the interner for its next trace, keeping the event buffer
 // and dedup set (emptied) only when the trace stayed within
-// maxPooledEvents, and the node table emptied by clearTable.
+// maxPooledEvents, and the node table emptied by clearTable. It assigns
+// field by field: clearTable has already nilled smallConst and recycle
+// emptied the slabs, and zeroing the whole 2 KiB struct would store
+// through the write barrier again.
 func (it *interner) reset() {
-	events, seen := it.events, it.seen
-	if cap(events) > maxPooledEvents { // seen holds one entry per event
-		events, seen = nil, nil
+	if cap(it.events) > maxPooledEvents { // seen holds one entry per event
+		it.events, it.seen = nil, nil
 	} else {
-		clear(events) // drop node references so the pool pins no trace
-		clear(seen)
+		clear(it.events) // drop node references so the pool pins no trace
+		it.events = it.events[:0]
+		clear(it.seen)
 	}
-	*it = interner{events: events[:0], seen: seen, table: it.table}
-}
-
-// inTable reports whether an installed node lives in the node table:
-// environment nodes and the constants below numSmallConst do not.
-func inTable(n *Expr) bool {
-	switch n.Kind {
-	case KindEnv:
-		return false
-	case KindConst:
-		v, fits := n.Conc.Uint64()
-		return !fits || v >= numSmallConst
-	}
-	return true
+	it.nextID, it.envSeq, it.hits, it.misses = 0, 0, 0, 0
 }
 
 // appHash hashes an application-shaped node by its tag and its operands'

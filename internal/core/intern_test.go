@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,7 +93,10 @@ func TestInternerReleaseIsolation(t *testing.T) {
 // sequential run, and each function must equal inference over a
 // TraceFunction trace (never recycled): nothing a recovery returns may alias
 // a recycled node, and no chunk may be recycled before inference is done
-// with it. A recycled Expr chunk must also come back zeroed.
+// with it. TraceFunction traces taken before the recoveries, guard chains
+// included, must render the same after them. A recycled chunk must come
+// back zeroed, although recycle clears only the prefix a trace carved, and
+// the recycled interner must hold no small constant.
 func TestInternerRecycleConcurrent(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Seed: 5, Solidity: 40, Vyper: 10, MaxParams: 4})
 	if err != nil {
@@ -99,9 +104,13 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 	}
 	ctx := context.Background()
 	want := make([]string, len(c.Entries))
+	heldTraces := make([]Trace, len(c.Entries))
+	heldRenders := make([]string, len(c.Entries))
 	for i, e := range c.Entries {
 		res, err := RecoverContext(ctx, e.Code, Options{})
 		want[i] = renderResult(res, err)
+		heldTraces[i] = TraceFunction(evm.Disassemble(e.Code), e.Sig.Selector())
+		heldRenders[i] = renderTrace(heldTraces[i])
 	}
 	const workers = 4
 	type held struct {
@@ -146,18 +155,66 @@ func TestInternerRecycleConcurrent(t *testing.T) {
 	if checked < len(c.Entries) {
 		t.Fatalf("only %d functions checked over %d entries", checked, len(c.Entries))
 	}
+	guarded := 0
+	for i, tr := range heldTraces {
+		if got := renderTrace(tr); got != heldRenders[i] {
+			t.Fatalf("entry %d: held trace changed while recoveries ran:\n%s", i, lineDiff(heldRenders[i], got, 5))
+		}
+		guarded += strings.Count(heldRenders[i], " guard=")
+	}
+	if guarded == 0 {
+		t.Fatal("no held trace carries a guard")
+	}
 
+	// A trace over more than one chunk of nodes and guards, and some copy
+	// regions: recycle must leave every chunk it carved from zeroed.
 	it := newInterner()
-	for i := 0; i < internSlabLen; i++ {
+	var guards *guardNode
+	var copies *copyNode
+	for i := 0; i < internSlabLen+internSlabLen/2; i++ {
 		e := it.constUint(uint64(1000 + i))
 		e.Env = "x"
+		it.constUint(uint64(i % numSmallConst))
+		it.app(evm.ADD, e, e)
+		guards = it.pushGuard(guards, Guard{PC: uint64(i), Cond: e, Taken: true, Lo: 1, Hi: 2})
+		if i%16 == 0 {
+			copies = it.pushCopy(copies, uint64(i), e, e)
+		}
+	}
+	exprs, args := chunksOf(it.exprs), chunksOf(it.args)
+	guardChunks, copyChunks := chunksOf(it.guards), chunksOf(it.copies)
+	if len(exprs) < 2 || len(guardChunks) < 2 {
+		t.Fatal("the trace fills less than one chunk of nodes or guards")
 	}
 	it.recycle()
-	it2 := newInterner()
-	for i := 0; i < internSlabLen; i++ {
-		if e := it2.newExpr(); e.Kind != 0 || e.Conc != nil || e.Args != nil || e.Env != "" ||
-			e.Seq != 0 || e.id != 0 || e.cdata {
-			t.Fatalf("node %d of a recycled chunk is not zeroed: %+v", i, *e)
+	checkZeroed(t, "expr", exprs)
+	checkZeroed(t, "args", args)
+	checkZeroed(t, "guard", guardChunks)
+	checkZeroed(t, "copy", copyChunks)
+	for v, e := range it.smallConst {
+		if e != nil {
+			t.Fatalf("recycled interner still holds small constant %d", v)
+		}
+	}
+}
+
+// chunksOf lists a slab's chunks (recycle unlinks them).
+func chunksOf[T any](s slab[T]) []*chunk[T] {
+	var out []*chunk[T]
+	for c := s.chunks; c != nil; c = c.next {
+		out = append(out, c)
+	}
+	return out
+}
+
+// checkZeroed fails t unless every slot of every chunk is zero.
+func checkZeroed[T any](t *testing.T, name string, chunks []*chunk[T]) {
+	t.Helper()
+	for _, c := range chunks {
+		for i := range c.items {
+			if !reflect.ValueOf(&c.items[i]).Elem().IsZero() {
+				t.Fatalf("slot %d of a recycled %s chunk is not zeroed: %+v", i, name, c.items[i])
+			}
 		}
 	}
 }
@@ -179,12 +236,9 @@ func TestInternedTaintMatchesTreeWalk(t *testing.T) {
 	}
 	var nodes, tainted int
 	check := func(it *interner) {
-		for c := it.exprChunks; c != nil; c = c.next {
-			for i := range c.nodes {
-				e := &c.nodes[i]
-				if e.id == 0 {
-					continue // slab slot not carved yet
-				}
+		for c := it.exprs.chunks; c != nil; c = c.next {
+			for i := range it.exprs.carved(c) {
+				e := &c.items[i]
 				nodes++
 				want := containsCDataTree(e)
 				if got := e.ContainsCData(); got != want {
@@ -217,11 +271,9 @@ func TestInternedTaintMatchesTreeWalk(t *testing.T) {
 // is construction order: a node's operands always precede it).
 func traceNodes(it *interner) []*Expr {
 	var nodes []*Expr
-	for c := it.exprChunks; c != nil; c = c.next {
-		for i := range c.nodes {
-			if e := &c.nodes[i]; e.id != 0 {
-				nodes = append(nodes, e)
-			}
+	for c := it.exprs.chunks; c != nil; c = c.next {
+		for i := range it.exprs.carved(c) {
+			nodes = append(nodes, &c.items[i])
 		}
 	}
 	slices.SortFunc(nodes, func(a, b *Expr) int { return cmp.Compare(a.id, b.id) })
@@ -322,9 +374,9 @@ func TestNodeTableIdentity(t *testing.T) {
 	t.Logf("%d traces, largest table %d slots", traces, maxTable)
 }
 
-// cloneTrace copies a trace's events onto nodes built outside any
-// interner (id 0), keeping the sharing of the original: one node of the
-// trace becomes one node of the clone.
+// cloneTrace copies a trace's events onto nodes and guard chains built
+// outside any interner (id 0), keeping the sharing of the original: one
+// node or guard link of the trace becomes one of the clone.
 func cloneTrace(tr Trace) Trace {
 	twin := make(map[*Expr]*Expr)
 	var clone func(e *Expr) *Expr
@@ -342,6 +394,20 @@ func cloneTrace(tr Trace) Trace {
 		twin[e] = c
 		return c
 	}
+	links := make(map[*guardNode]*guardNode)
+	var cloneGuards func(n *guardNode) *guardNode
+	cloneGuards = func(n *guardNode) *guardNode {
+		if n == nil {
+			return nil
+		}
+		if c, ok := links[n]; ok {
+			return c
+		}
+		c := &guardNode{Guard: n.Guard, parent: cloneGuards(n.parent), depth: n.depth}
+		c.Cond = clone(n.Cond)
+		links[n] = c
+		return c
+	}
 	out := Trace{Selector: tr.Selector, Truncated: tr.Truncated}
 	for _, ev := range tr.Events {
 		ev.Off, ev.Val, ev.Src, ev.Len = clone(ev.Off), clone(ev.Val), clone(ev.Src), clone(ev.Len)
@@ -350,12 +416,7 @@ func cloneTrace(tr Trace) Trace {
 			args[i] = clone(a)
 		}
 		ev.Args = args
-		guards := make([]Guard, len(ev.Guards))
-		for i, g := range ev.Guards {
-			g.Cond = clone(g.Cond)
-			guards[i] = g
-		}
-		ev.Guards = guards
+		ev.guards = cloneGuards(ev.guards)
 		out.Events = append(out.Events, ev)
 	}
 	return out

@@ -37,7 +37,7 @@ func renderTrace(tr Trace) string {
 			b.WriteString(" arg=")
 			expr(a)
 		}
-		for _, g := range ev.Guards {
+		for _, g := range ev.Guards() {
 			fmt.Fprintf(&b, " guard=%d:%v:%d-%d:", g.PC, g.Taken, g.Lo, g.Hi)
 			expr(g.Cond)
 		}
@@ -50,8 +50,8 @@ func renderTrace(tr Trace) string {
 // caller's. Hold a few from both golden corpora (with every node's string
 // cached), recover both corpora at fan-out width 2, which recycles
 // interners, slab chunks, event buffers and disassemblies on two
-// goroutines at once, and the held traces must render byte-identically
-// afterwards.
+// goroutines at once, and the held traces, guard chains and their
+// conditions included, must render byte-identically afterwards.
 func TestHeldTracesSurviveRecycling(t *testing.T) {
 	e1, err := corpus.Generate(corpus.DefaultConfig(1))
 	if err != nil {
@@ -85,6 +85,9 @@ func TestHeldTracesSurviveRecycling(t *testing.T) {
 	}
 	if len(held) < 10 {
 		t.Fatalf("held only %d traces with events", len(held))
+	}
+	if guards := strings.Count(strings.Join(want, ""), " guard="); guards < len(held) {
+		t.Fatalf("%d held traces carry only %d guards", len(held), guards)
 	}
 	ctx := context.Background()
 	for _, code := range slices.Concat(distinctCodes(e1.Entries), distinctCodes(synth)) {

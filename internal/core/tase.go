@@ -75,6 +75,16 @@ type Guard struct {
 // Controls reports whether an event at pc falls in the guard's scope.
 func (g Guard) Controls(pc uint64) bool { return pc > g.Lo && pc < g.Hi }
 
+// guardNode is one link of a path's persistent guard chain: a guard, the
+// chain of guards enclosing it, and the chain's length. Chains only ever
+// grow at the head, so paths forked at a JUMPI and the events each of them
+// records share everything before the fork.
+type guardNode struct {
+	Guard
+	parent *guardNode
+	depth  int
+}
+
 // Event is one observation made during TASE.
 type Event struct {
 	Kind EventKind
@@ -94,8 +104,21 @@ type Event struct {
 	Op   evm.Op
 	Args []*Expr
 
-	// Guards active when the event fired.
-	Guards []Guard
+	// guards is the chain of guards active when the event fired, innermost
+	// first (see Guards).
+	guards *guardNode
+}
+
+// Guards returns the guards active when the event fired, outermost first.
+func (ev *Event) Guards() []Guard {
+	if ev.guards == nil {
+		return nil
+	}
+	out := make([]Guard, ev.guards.depth)
+	for n := ev.guards; n != nil; n = n.parent {
+		out[n.depth-1] = n.Guard
+	}
+	return out
 }
 
 // Trace is the deduplicated event stream of one function.
@@ -105,18 +128,18 @@ type Trace struct {
 	// Truncated is set when an exploration budget was hit.
 	Truncated bool
 
-	// it is the interner whose slabs hold the events' nodes and whose
-	// buffer holds Events; the recovery pipeline recycles it once
-	// inference is done with the trace.
+	// it is the interner whose slabs hold the events' nodes and guard
+	// chains and whose buffer holds Events; the recovery pipeline recycles
+	// it once inference is done with the trace.
 	it *interner
 }
 
 // state is one symbolic machine state during path exploration. Forks share
-// every container copy-on-write: cloning is O(1), the append-only slices
-// (copies, guards) are capacity-trimmed so either side's next append
-// reallocates instead of scribbling on the shared prefix, and the mutable
-// containers (stack, mem, visits) carry ownership flags — a state copies
-// them into pooled storage the first time it writes after a fork.
+// every container: cloning is O(1). The append-only guard and copy-region
+// lists are persistent chains carved from the interner's slabs, so a fork
+// copies nothing and each side pushes its own head; the mutable containers
+// (stack, mem, visits) carry ownership flags — a state copies them into
+// pooled storage the first time it writes after a fork.
 type state struct {
 	pc    uint64
 	steps int
@@ -126,9 +149,9 @@ type state struct {
 	// returned to the pool only while stackOwned (exclusive) at release.
 	stackRef *[]*Expr
 	mem      map[uint64]*Expr
-	copies   []memCopy
+	copies   *copyNode // newest first
 	visits   map[uint64]int
-	guards   []Guard
+	guards   *guardNode
 
 	// Ownership flags: false means the container is (potentially) shared
 	// with a forked sibling and must be copied before the next write.
@@ -137,18 +160,20 @@ type state struct {
 	visitsOwned bool
 }
 
-type memCopy struct {
-	dst uint64
-	src *Expr
-	ln  *Expr
+// copyNode is one CALLDATACOPY region of a path's copy-region chain, in
+// front of the regions copied before it.
+type copyNode struct {
+	dst  uint64
+	src  *Expr
+	ln   *Expr
+	next *copyNode
 }
 
 // Allocation pools for exploration state. States fork and die at every
 // JUMPI fan-out; recycling them (and their stack buffers and maps) keeps
-// the per-path cost flat regardless of state size. Guard and copy slices
-// are never pooled: events capture capacity-trimmed views of them that
-// outlive the exploration. What outlives a path but not the trace (nodes,
-// the event buffer, the dedup set) is pooled with the interner instead.
+// the per-path cost flat regardless of state size. What outlives a path
+// but not the trace (nodes, guard and copy chains, the event buffer, the
+// dedup set) is pooled with the interner instead.
 var (
 	statePool = sync.Pool{New: func() any {
 		mStateAllocs.Inc()
@@ -351,8 +376,6 @@ func (t *tase) releaseState(st *state) {
 // nothing).
 func (t *tase) cloneState(s *state) *state {
 	s.stackOwned, s.memOwned, s.visitsOwned = false, false, false
-	s.copies = s.copies[:len(s.copies):len(s.copies)]
-	s.guards = s.guards[:len(s.guards):len(s.guards)]
 	cp := t.newState()
 	*cp = *s
 	return cp
@@ -462,14 +485,6 @@ func eventKey(ev Event) eventID {
 	}
 }
 
-// guardsSnapshot captures the active guards for attachment to an event.
-// Guards are append-only and the slice is capacity-trimmed, so the
-// snapshot shares the backing array immutably instead of copying: a later
-// append (on this path or a fork) always reallocates past the trim.
-func guardsSnapshot(st *state) []Guard {
-	return st.guards[:len(st.guards):len(st.guards)]
-}
-
 // step executes one instruction. It returns a forked state to queue (at
 // most one, from a symbolic JUMPI whose fall-through this path keeps
 // following) and whether the path is done.
@@ -536,7 +551,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			}
 			// follow continues this path down one side, without forking.
 			follow := func(taken bool) (*state, bool) {
-				st.guards = append(st.guards, mkGuard(taken))
+				st.guards = t.it.pushGuard(st.guards, mkGuard(taken))
 				if taken {
 					st.pc = dv
 				} else {
@@ -575,9 +590,9 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 				return follow(false)
 			}
 			other := t.cloneState(st)
-			st.guards = append(st.guards, mkGuard(false))
+			st.guards = t.it.pushGuard(st.guards, mkGuard(false))
 			st.pc = nextPC
-			other.guards = append(other.guards, mkGuard(true))
+			other.guards = t.it.pushGuard(other.guards, mkGuard(true))
 			other.pc = dv
 			// Continue the fall-through on this path (counted as a fresh
 			// path, matching the old recursive accounting); queue the
@@ -592,7 +607,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 				val = t.it.constW(*t.selWord)
 			} else {
 				val = t.it.cdata(off)
-				t.record(Event{Kind: EvCDL, PC: ins.PC, Off: off, Val: val, Guards: guardsSnapshot(st)})
+				t.record(Event{Kind: EvCDL, PC: ins.PC, Off: off, Val: val, guards: st.guards})
 			}
 			push(val)
 
@@ -602,8 +617,8 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 		case evm.CALLDATACOPY:
 			dst, src, ln := pop(), pop(), pop()
 			if dv, ok := dst.ConstUint(); ok {
-				st.copies = append(st.copies, memCopy{dst: dv, src: src, ln: ln})
-				t.record(Event{Kind: EvCDC, PC: ins.PC, Dst: dv, Src: src, Len: ln, Guards: guardsSnapshot(st)})
+				st.copies = t.it.pushCopy(st.copies, dv, src, ln)
+				t.record(Event{Kind: EvCDC, PC: ins.PC, Dst: dv, Src: src, Len: ln, guards: st.guards})
 			}
 
 		case evm.MLOAD:
@@ -694,7 +709,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			}
 			e := t.it.appN(op, args)
 			if tainted(args) {
-				t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, Guards: guardsSnapshot(st)})
+				t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, guards: st.guards})
 			}
 			if op.StackPushes() > 0 {
 				push(e)
@@ -741,7 +756,7 @@ func (t *tase) mload(st *state, addr *Expr) *Expr {
 		if v, hit := st.mem[av]; hit {
 			return v
 		}
-		if cp, hit := findCopy(st.copies, av); hit {
+		if cp := findCopy(st.copies, av); cp != nil {
 			off := t.it.app(evm.ADD, cp.src, t.it.constUint(av-cp.dst))
 			return t.it.cdata(off)
 		}
@@ -749,7 +764,7 @@ func (t *tase) mload(st *state, addr *Expr) *Expr {
 	}
 	// Symbolic address: attribute via the constant component.
 	if base, ok := linearConst(addr).Uint64(); ok {
-		if cp, hit := findCopy(st.copies, base); hit {
+		if cp := findCopy(st.copies, base); cp != nil {
 			delta := t.it.app(evm.SUB, addr, t.it.constUint(cp.dst))
 			return t.it.cdata(t.it.app(evm.ADD, cp.src, delta))
 		}
@@ -757,19 +772,19 @@ func (t *tase) mload(st *state, addr *Expr) *Expr {
 	return t.it.fresh("mem")
 }
 
-// findCopy locates the most recent copy region covering the address.
-func findCopy(copies []memCopy, addr uint64) (memCopy, bool) {
-	for i := len(copies) - 1; i >= 0; i-- {
-		cp := copies[i]
+// findCopy locates the most recent copy region covering the address, or
+// returns nil.
+func findCopy(cp *copyNode, addr uint64) *copyNode {
+	for ; cp != nil; cp = cp.next {
 		span := uint64(memRegionSpan)
 		if lv, ok := cp.ln.ConstUint(); ok && lv > 0 && lv < span {
 			span = lv
 		}
 		if addr >= cp.dst && addr < cp.dst+span {
-			return cp, true
+			return cp
 		}
 	}
-	return memCopy{}, false
+	return nil
 }
 
 // TraceFunction symbolically executes the contract as if called with the

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"sigrec/internal/abi"
+	"sigrec/internal/corpus"
 	"sigrec/internal/evm"
 )
 
@@ -145,7 +150,7 @@ func TestTASEGuardIntervals(t *testing.T) {
 	controlled := func(ev *Event) int {
 		n := 0
 		seen := map[uint64]bool{}
-		for _, g := range ev.Guards {
+		for _, g := range ev.Guards() {
 			if g.Controls(ev.PC) && !seen[g.PC] {
 				if _, ok := loopBound(g); ok {
 					seen[g.PC] = true
@@ -245,5 +250,101 @@ func TestTraceFunctionSelectorOverride(t *testing.T) {
 	}
 	if n := len(findCDL(trB.Events)); n != 2 {
 		t.Errorf("beta: %d loads, want 2", n)
+	}
+}
+
+// TestGuardChains traces a body with two nested symbolic JUMPIs:
+//
+//	if cd[4] { load cd[132] } else if cd[36] { load cd[100] } else { load cd[68] }
+//
+// Each load's Guards list its enclosing branches outermost first, the two
+// sides of the inner fork share the outer guard's chain link (a fork
+// copies no guards), and the guard conditions of a TraceFunction trace
+// render the same after recoveries have recycled interners and slab chunks
+// on other goroutines.
+func TestGuardChains(t *testing.T) {
+	a := evm.NewAssembler()
+	outer, inner := a.NewLabel(), a.NewLabel()
+	a.Push(4).Op(evm.CALLDATALOAD).JumpI(outer)
+	a.Push(36).Op(evm.CALLDATALOAD).JumpI(inner)
+	a.Push(68).Op(evm.CALLDATALOAD).Op(evm.POP).Op(evm.STOP)
+	a.Bind(inner)
+	a.Push(100).Op(evm.CALLDATALOAD).Op(evm.POP).Op(evm.STOP)
+	a.Bind(outer)
+	a.Push(132).Op(evm.CALLDATALOAD).Op(evm.POP).Op(evm.STOP)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := evm.Disassemble(code)
+	var jumpis []uint64
+	for _, ins := range program.Instructions {
+		if ins.Op == evm.JUMPI {
+			jumpis = append(jumpis, ins.PC)
+		}
+	}
+	if len(jumpis) != 2 {
+		t.Fatalf("%d JUMPIs assembled", len(jumpis))
+	}
+	j1, j2 := jumpis[0], jumpis[1]
+
+	tr := TraceFunction(program, [4]byte{1, 2, 3, 4})
+	loads := make(map[uint64]*Event)
+	for i := range tr.Events {
+		if ev := &tr.Events[i]; ev.Kind == EvCDL {
+			off, _ := ev.Off.ConstUint()
+			loads[off] = ev
+		}
+	}
+	type branch struct {
+		pc    uint64
+		taken bool
+	}
+	want := map[uint64][]branch{
+		4:   nil,
+		36:  {{j1, false}},
+		68:  {{j1, false}, {j2, false}},
+		100: {{j1, false}, {j2, true}},
+		132: {{j1, true}},
+	}
+	for off, branches := range want {
+		ev := loads[off]
+		if ev == nil {
+			t.Fatalf("no load of cd[%d]", off)
+		}
+		var got []branch
+		for _, g := range ev.Guards() {
+			got = append(got, branch{g.PC, g.Taken})
+		}
+		if !slices.Equal(got, branches) {
+			t.Errorf("cd[%d] guards %v, want %v", off, got, branches)
+		}
+	}
+	shared := loads[36].guards
+	if loads[68].guards.parent != shared || loads[100].guards.parent != shared {
+		t.Errorf("the inner fork's two sides do not share the outer guard's link")
+	}
+
+	conds := func() string {
+		var b strings.Builder
+		for i := range tr.Events {
+			for _, g := range tr.Events[i].Guards() {
+				fmt.Fprintf(&b, "%d:%v:%s\n", g.PC, g.Taken, g.Cond)
+			}
+		}
+		return b.String()
+	}
+	before := conds()
+	c, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range distinctCodes(c)[:20] {
+		if _, err := RecoverContext(context.Background(), code, Options{workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := conds(); after != before {
+		t.Fatalf("held guard conditions changed while recoveries ran:\n%s", lineDiff(before, after, 5))
 	}
 }
