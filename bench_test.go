@@ -272,11 +272,12 @@ func e3EventLog(tb testing.TB) *eventlog.Writer {
 const e3AllocRuns = 4
 
 // TestAllocsE3TimeDistribution holds the E3 experiment (Fig. 17) under a
-// fixed ceiling: 10% over the 7,141 allocs per run it was recorded at
-// (7,718 before guard lists became persistent chains, 11,331 before
-// inference keyed on node identity).
+// fixed ceiling: 10% over the 6,066 allocs per run it was recorded at
+// (7,141 before forks copied into pooled state buffers, 7,718 before guard
+// lists became persistent chains, 11,331 before inference keyed on node
+// identity).
 func TestAllocsE3TimeDistribution(t *testing.T) {
-	const ceiling = 7860
+	const ceiling = 6680
 	r, ok := experiments.ByID("e3")
 	if !ok {
 		t.Fatal("unknown experiment e3")
@@ -293,13 +294,14 @@ func TestAllocsE3TimeDistribution(t *testing.T) {
 
 // TestAllocsRecoverCorpus holds a whole RecoverContext, dispatcher walk
 // included, under a fixed ceiling over the E1 corpus (seed 1, 2,150
-// one-function contracts): 10% over the 39.9 allocs per contract it
-// was recorded at (46.7 before guard lists became persistent chains, 78.6
-// before inference keyed on node identity). The E3 gate above counts
+// one-function contracts): 10% over the 29.4 allocs per contract it
+// was recorded at (39.9 before forks copied into pooled state buffers,
+// 46.7 before guard lists became persistent chains, 78.6 before inference
+// keyed on node identity). The E3 gate above counts
 // RecoverFunction alone, so only this gate sees a walk that re-enters
 // function bodies.
 func TestAllocsRecoverCorpus(t *testing.T) {
-	const ceiling = 44
+	const ceiling = 33
 	c, err := corpus.Generate(corpus.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +320,9 @@ func TestAllocsRecoverCorpus(t *testing.T) {
 
 // TestAllocBytesRecoverCorpus holds the bytes a whole RecoverContext
 // allocates over the E1 corpus (seed 1, 2,150 one-function contracts)
-// under a fixed ceiling: 10% over the 3,513 B per contract it was
-// recorded at (4,360 B before guard lists became persistent chains,
+// under a fixed ceiling: 10% over the 2,305 B per contract it was
+// recorded at (3,513 B before forks copied into pooled state buffers,
+// 4,360 B before guard lists became persistent chains,
 // 31,511 B before the engine recycled its per-recovery memory, 9,500 B
 // before inference keyed on node identity and the node table was
 // pooled). Allocation counts miss most of what recycling saves
@@ -334,15 +337,16 @@ func TestAllocBytesRecoverCorpus(t *testing.T) {
 	for i, e := range c.Entries {
 		codes[i] = e.Code
 	}
-	checkRecoverBytes(t, "E1", codes, 3870)
+	checkRecoverBytes(t, "E1", codes, 2540)
 }
 
 // TestAllocBytesRecoverDataset2 is TestAllocBytesRecoverCorpus over
 // dataset 2 (seed 1, 100 ten-function contracts with arrays up to 3-D),
 // where the node table and inference's per-node state weigh most: 10%
-// over the 64,531 B per contract it was recorded at (123,800 B before
-// guard lists became persistent chains, 233,700 B before inference keyed
-// on node identity and the node table was pooled).
+// over the 44,560 B per contract it was recorded at (64,531 B before forks
+// copied into pooled state buffers, 123,800 B before guard lists became
+// persistent chains, 233,700 B before inference keyed on node identity
+// and the node table was pooled).
 func TestAllocBytesRecoverDataset2(t *testing.T) {
 	synth, err := corpus.GenerateSynthesized(1)
 	if err != nil {
@@ -356,14 +360,15 @@ func TestAllocBytesRecoverDataset2(t *testing.T) {
 			codes = append(codes, e.Code)
 		}
 	}
-	checkRecoverBytes(t, "dataset 2", codes, 71000)
+	checkRecoverBytes(t, "dataset 2", codes, 49100)
 }
 
 // TestAllocBytesRecoverDeepNested is TestAllocBytesRecoverCorpus over the
 // dimension-20 contract of the Fig. 18 sweep (uint256[1]...[1][2], 20
 // dimensions), whose 20 nested loop guards every path carries: 10% over
-// the 5,824 B per recovery it was recorded at (18,986 B before guard lists
-// became persistent chains and every fork copied them).
+// the 4,880 B per recovery it was recorded at (5,824 B before forks copied
+// into pooled state buffers, 18,986 B before guard lists became
+// persistent chains and every fork copied them).
 func TestAllocBytesRecoverDeepNested(t *testing.T) {
 	ty := abi.Uint(256)
 	for d := 0; d < 19; d++ {
@@ -376,7 +381,7 @@ func TestAllocBytesRecoverDeepNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecoverBytes(t, "the Fig. 18 dimension-20 contract", [][]byte{code}, 6410)
+	checkRecoverBytes(t, "the Fig. 18 dimension-20 contract", [][]byte{code}, 5370)
 }
 
 // checkRecoverBytes fails t when RecoverContext allocates more than

@@ -27,6 +27,7 @@ func init() {
 	tel.SetHelp("sigrec_phase_dispatch_microseconds", "Dispatcher selector-extraction latency per recovery")
 	tel.SetHelp("sigrec_phase_explore_microseconds", "TASE exploration latency per recovery, summed over selectors")
 	tel.SetHelp("sigrec_phase_infer_microseconds", "Type-inference latency per recovery, summed over selectors")
+	tel.SetHelp("sigrec_state_clone_bytes_total", "Bytes of stack, memory and JUMPI visit counters copied into forked TASE states")
 }
 
 // Pre-resolved instruments so the hot path never touches the registry map.
@@ -67,7 +68,7 @@ var (
 	mExploreUS  = tel.Histogram("sigrec_phase_explore_microseconds")
 	mInferUS    = tel.Histogram("sigrec_phase_infer_microseconds")
 
-	// Interner and copy-on-write state instruments. Hit rate is exposed as a
+	// Interner and forked-state instruments. Hit rate is exposed as a
 	// permille gauge so it reads directly off the exposition endpoint; pool
 	// reuse is derived as gets - allocs.
 	mInternHits    = tel.Counter("sigrec_intern_hits_total")

@@ -105,9 +105,10 @@ func TestHeldTracesSurviveRecycling(t *testing.T) {
 // TestPoolsDropOverCapBuffers: a recycled interner keeps its event buffer
 // and dedup set, emptied and with no node left reachable, only while the
 // trace stayed within maxPooledEvents, and its node table only up to
-// maxPooledTable slots; a disassembly goes back to its pool
-// only while its buffers fit maxPooledProgramBytes. An adversarial trace
-// or a large contract must not pin its memory in a pool.
+// maxPooledTable slots; an exploration state only while its memory and
+// visit maps stayed within maxPooledStateMap entries; a disassembly goes
+// back to its pool only while its buffers fit maxPooledProgramBytes. An
+// adversarial trace or a large contract must not pin its memory in a pool.
 func TestPoolsDropOverCapBuffers(t *testing.T) {
 	fill := func(n int) *interner {
 		it := &interner{seen: make(map[eventID]bool)}
@@ -166,6 +167,52 @@ func TestPoolsDropOverCapBuffers(t *testing.T) {
 	dropped.clearTable()
 	if dropped.table != nil {
 		t.Fatalf("a %d-slot table stayed pooled", 2*maxPooledTable)
+	}
+
+	// Exploration states: one whose memory map grew past maxPooledStateMap
+	// is dropped. A concrete-bound loop is followed without a visit budget,
+	// so a path storing one word per iteration grows its map past the cap.
+	a := evm.NewAssembler()
+	loop, exit := a.NewLabel(), a.NewLabel()
+	a.Push(0) // i
+	a.Bind(loop)
+	a.Push(4 * maxPooledStateMap).Dup(2).Op(evm.LT).Op(evm.ISZERO).JumpI(exit)
+	a.Dup(1).Dup(1).Push(32).Op(evm.MUL).Op(evm.MSTORE) // mem[32*i] = i
+	a.Push(1).Op(evm.ADD)
+	a.Jump(loop)
+	a.Bind(exit)
+	a.Op(evm.STOP)
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newTASE(evm.Disassemble(code), nil, defaultLimits())
+	st := eng.newState()
+	for done := false; !done; {
+		ins, ok := eng.program.At(st.pc)
+		if !ok {
+			break
+		}
+		_, done = eng.step(st, ins)
+	}
+	if len(st.mem) != 4*maxPooledStateMap {
+		t.Fatalf("the loop stored %d words, want %d", len(st.mem), 4*maxPooledStateMap)
+	}
+	if eng.releaseState(st) {
+		t.Fatalf("a state holding %d memory words stayed pooled", len(st.mem))
+	}
+	eng.it.recycle()
+	pooled := eng.newState()
+	pooled.stack = append(pooled.stack, &Expr{})
+	for i := range maxPooledStateMap {
+		pooled.mem[uint64(i)] = &Expr{}
+		pooled.visits[uint64(i)] = 1
+	}
+	if !eng.releaseState(pooled) {
+		t.Fatalf("a state holding %d memory words and visit counters was dropped", maxPooledStateMap)
+	}
+	if len(pooled.mem) != 0 || len(pooled.visits) != 0 || len(pooled.stack) != 0 || pooled.stack[:1][0] != nil {
+		t.Fatalf("a pooled state's buffers were not emptied")
 	}
 
 	smallCode := make([]byte, 1024)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -24,6 +25,15 @@ const (
 	// deadline overshoot far below a millisecond while adding well under 1%
 	// overhead.
 	deadlineCheckMask = 255
+	// maxStackDepth is the EVM stack limit: a path whose next instruction
+	// would take its stack past it ends, as the EVM halts on overflow. It
+	// also bounds a pooled state's stack buffer at about 8 KiB.
+	maxStackDepth = 1024
+	// maxPooledStateMap caps the entries a state's memory or visit map may
+	// have held for the state to go back to statePool: clear keeps a map's
+	// table, so a path that stored thousands of words must not pin them.
+	// 256 entries are about 8 KiB of table, as much as a full stack.
+	maxPooledStateMap = 256
 )
 
 // limits bounds one TASE exploration. The zero value means "no explicit
@@ -134,30 +144,21 @@ type Trace struct {
 	it *interner
 }
 
-// state is one symbolic machine state during path exploration. Forks share
-// every container: cloning is O(1). The append-only guard and copy-region
-// lists are persistent chains carved from the interner's slabs, so a fork
-// copies nothing and each side pushes its own head; the mutable containers
-// (stack, mem, visits) carry ownership flags — a state copies them into
-// pooled storage the first time it writes after a fork.
+// state is one symbolic machine state during path exploration. It owns its
+// stack, word memory and JUMPI visit counters outright: a fork copies them
+// into the new state's own buffers, which stay with the state in statePool.
+// The append-only guard and copy-region lists are persistent chains carved
+// from the interner's slabs, so a fork shares them and each side pushes its
+// own head.
 type state struct {
 	pc    uint64
 	steps int
 
-	stack []*Expr
-	// stackRef is the pool box the owned stack buffer came from; it is
-	// returned to the pool only while stackOwned (exclusive) at release.
-	stackRef *[]*Expr
-	mem      map[uint64]*Expr
-	copies   *copyNode // newest first
-	visits   map[uint64]int
-	guards   *guardNode
-
-	// Ownership flags: false means the container is (potentially) shared
-	// with a forked sibling and must be copied before the next write.
-	stackOwned  bool
-	memOwned    bool
-	visitsOwned bool
+	stack  []*Expr
+	mem    map[uint64]*Expr
+	visits map[uint64]int
+	copies *copyNode // newest first
+	guards *guardNode
 }
 
 // copyNode is one CALLDATACOPY region of a path's copy-region chain, in
@@ -169,23 +170,19 @@ type copyNode struct {
 	next *copyNode
 }
 
-// Allocation pools for exploration state. States fork and die at every
-// JUMPI fan-out; recycling them (and their stack buffers and maps) keeps
-// the per-path cost flat regardless of state size. What outlives a path
-// but not the trace (nodes, guard and copy chains, the event buffer, the
-// dedup set) is pooled with the interner instead.
-var (
-	statePool = sync.Pool{New: func() any {
-		mStateAllocs.Inc()
-		return new(state)
-	}}
-	stackPool = sync.Pool{New: func() any {
-		b := make([]*Expr, 0, 32)
-		return &b
-	}}
-	memPool   = sync.Pool{New: func() any { return make(map[uint64]*Expr, 8) }}
-	visitPool = sync.Pool{New: func() any { return make(map[uint64]int, 8) }}
-)
+// statePool recycles exploration states with their buffers. States fork and
+// die at every JUMPI fan-out; a pooled state keeps its stack buffer and its
+// two maps, emptied, so a fork copies into memory a dead path already grew.
+// What outlives a path but not the trace (nodes, guard and copy chains, the
+// event buffer, the dedup set) is pooled with the interner instead.
+var statePool = sync.Pool{New: func() any {
+	mStateAllocs.Inc()
+	return &state{
+		stack:  make([]*Expr, 0, 32),
+		mem:    make(map[uint64]*Expr, 8),
+		visits: make(map[uint64]int, 8),
+	}
+}}
 
 // tase explores the contract from pc 0 with the call data symbolic except
 // for the first 32 bytes, which carry the given selector. The dispatcher
@@ -202,7 +199,7 @@ type tase struct {
 	trunc      bool
 	cancelable bool   // a deadline or cancellation channel is armed
 	expired    bool   // deadline passed or context cancelled
-	cloneBytes uint64 // bytes materialized by copy-on-write ownership takes
+	cloneBytes uint64 // bytes of stack, memory and visit counters copied at forks
 	stateGets  uint64 // state allocator requests (pool reuses + fresh allocs)
 
 	// Set when run returns, from the interner, which the pipeline may
@@ -342,80 +339,38 @@ func (t *tase) run() []Event {
 	return t.it.events
 }
 
-// newState takes a zeroed state from the pool.
+// newState takes a state with empty buffers from the pool.
 func (t *tase) newState() *state {
 	t.stateGets++
 	return statePool.Get().(*state)
 }
 
-// releaseState recycles a dead path's state. Only exclusively-owned
-// containers go back to their pools; anything shared with a live sibling
-// (ownership flag down) is left to that sibling and the GC.
-func (t *tase) releaseState(st *state) {
-	if st.stackOwned && st.stackRef != nil {
-		buf := st.stack[:cap(st.stack)]
-		clear(buf) // drop Expr references so pooled buffers don't pin traces
-		*st.stackRef = buf[:0]
-		stackPool.Put(st.stackRef)
+// releaseState returns a dead path's state to statePool, its buffers
+// emptied, unless its memory or visit map grew past maxPooledStateMap, and
+// reports whether it did.
+func (t *tase) releaseState(st *state) bool {
+	if len(st.mem) > maxPooledStateMap || len(st.visits) > maxPooledStateMap {
+		return false
 	}
-	if st.memOwned && st.mem != nil {
-		clear(st.mem)
-		memPool.Put(st.mem)
-	}
-	if st.visitsOwned && st.visits != nil {
-		clear(st.visits)
-		visitPool.Put(st.visits)
-	}
-	*st = state{}
+	clear(st.stack[:cap(st.stack)]) // drop Expr references so pooled states don't pin traces
+	clear(st.mem)
+	clear(st.visits)
+	*st = state{stack: st.stack[:0], mem: st.mem, visits: st.visits}
 	statePool.Put(st)
+	return true
 }
 
-// cloneState forks the state in O(1): every container is shared with the
-// original and both sides drop ownership, deferring any copying to the
-// first post-fork write (often never — a path that only pops and dies pays
-// nothing).
+// cloneState forks the state: the stack, memory and visit counters are
+// copied into the new state's own buffers, and the guard and copy-region
+// chains are shared.
 func (t *tase) cloneState(s *state) *state {
-	s.stackOwned, s.memOwned, s.visitsOwned = false, false, false
 	cp := t.newState()
-	*cp = *s
+	cp.pc, cp.steps, cp.copies, cp.guards = s.pc, s.steps, s.copies, s.guards
+	cp.stack = append(cp.stack, s.stack...)
+	maps.Copy(cp.mem, s.mem)
+	maps.Copy(cp.visits, s.visits)
+	t.cloneBytes += uint64(len(s.stack))*8 + uint64(len(s.mem)+len(s.visits))*16
 	return cp
-}
-
-// ownStack materializes a private copy of the stack into a pooled buffer.
-func (t *tase) ownStack(st *state) {
-	if st.stackOwned {
-		return
-	}
-	ref := stackPool.Get().(*[]*Expr)
-	buf := append((*ref)[:0], st.stack...)
-	t.cloneBytes += uint64(len(st.stack)) * 8
-	st.stack, st.stackRef, st.stackOwned = buf, ref, true
-}
-
-// ownMem materializes a private copy of the word-store map.
-func (t *tase) ownMem(st *state) {
-	if st.memOwned {
-		return
-	}
-	m := memPool.Get().(map[uint64]*Expr)
-	for k, v := range st.mem {
-		m[k] = v
-	}
-	t.cloneBytes += uint64(len(st.mem)) * 16
-	st.mem, st.memOwned = m, true
-}
-
-// ownVisits materializes a private copy of the JUMPI visit counters.
-func (t *tase) ownVisits(st *state) {
-	if st.visitsOwned {
-		return
-	}
-	m := visitPool.Get().(map[uint64]int)
-	for k, v := range st.visits {
-		m[k] = v
-	}
-	t.cloneBytes += uint64(len(st.visits)) * 16
-	st.visits, st.visitsOwned = m, true
 }
 
 // explore runs one path until it ends, returning forked states in the
@@ -497,15 +452,15 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 	if len(st.stack) < pops {
 		return nil, true // malformed path; abandon
 	}
+	if len(st.stack)-pops+op.StackPushes() > maxStackDepth {
+		return nil, true // stack overflow: the EVM halts
+	}
 	pop := func() *Expr {
 		e := st.stack[len(st.stack)-1]
 		st.stack = st.stack[:len(st.stack)-1]
 		return e
 	}
-	push := func(e *Expr) {
-		t.ownStack(st)
-		st.stack = append(st.stack, e)
-	}
+	push := func(e *Expr) { st.stack = append(st.stack, e) }
 	nextPC := ins.PC + 1 + uint64(len(ins.ArgBytes))
 
 	switch {
@@ -516,7 +471,6 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 		push(st.stack[len(st.stack)-n])
 	case op.IsSwap():
 		n := int(op-evm.SWAP1) + 1
-		t.ownStack(st)
 		top := len(st.stack) - 1
 		st.stack[top], st.stack[top-n] = st.stack[top-n], st.stack[top]
 	default:
@@ -572,7 +526,6 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 				}
 			}
 			// Symbolic condition: fork within the visit budget.
-			t.ownVisits(st)
 			st.visits[ins.PC]++
 			if st.visits[ins.PC] > maxVisitsPerJumpi {
 				// Budget hit: follow the forward branch (usually the loop
@@ -628,7 +581,6 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 		case evm.MSTORE:
 			addr, val := pop(), pop()
 			if av, ok := addr.ConstUint(); ok {
-				t.ownMem(st)
 				st.mem[av] = val
 			}
 

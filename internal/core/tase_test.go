@@ -348,3 +348,117 @@ func TestGuardChains(t *testing.T) {
 		t.Fatalf("held guard conditions changed while recoveries ran:\n%s", lineDiff(before, after, 5))
 	}
 }
+
+// TestTASEStackLimit: a loop that pushes one word per iteration ends its
+// path at the EVM's 1,024-entry stack limit, as the EVM halts on
+// overflow, instead of running to the per-path step budget.
+func TestTASEStackLimit(t *testing.T) {
+	// JUMPDEST PUSH1 1 PUSH1 0 JUMP
+	eng := &tase{program: evm.Disassemble([]byte{0x5b, 0x60, 0x01, 0x60, 0x00, 0x56})}
+	eng.run()
+	// 1,023 full iterations leave 1,023 entries; the next one's JUMPDEST
+	// and PUSH1 1 run, and PUSH1 0 would make 1,025.
+	if want := 4*(maxStackDepth-1) + 3; eng.totSteps != want || eng.trunc {
+		t.Fatalf("%d steps (truncated %v), want the path to end at the stack limit after %d", eng.totSteps, eng.trunc, want)
+	}
+}
+
+// TestForkCopiesPathState: each side of a symbolic JUMPI owns its stack,
+// memory and JUMPI visit counters. The fork J1 sits in the first iteration
+// of a loop whose symbolic bound J2 allows three visits per path. The
+// fall-through, which the engine follows first, SWAPs, MSTOREs and spends
+// the rest of its visit budget; the taken side, explored after it from the
+// fork's copy, must load through its own stack top and memory word, and get
+// the two loop visits left in its own budget.
+//
+//	stack [i=0, 0x100, 0x200]; mem[0x80] = 0x11
+//	loop: if i >= cd[36] goto exit           // J2
+//	  load cd[mem[0x80]]; load cd[top+i]; i++
+//	  if i == 1 {
+//	    if cd[4] goto loop                   // J1
+//	    SWAP1; mem[0x80] = 0x22; goto loop   // fall-through only
+//	  }
+//	  goto loop
+func TestForkCopiesPathState(t *testing.T) {
+	events := buildAndTrace(t, func(a *evm.Assembler) {
+		loop, exit := a.NewLabel(), a.NewLabel()
+		a.Push(0).Push(0x100).Push(0x200)
+		a.Push(0x11).Push(0x80).Op(evm.MSTORE)
+		a.Bind(loop)
+		a.Dup(3).Push(36).Op(evm.CALLDATALOAD).Op(evm.GT).Op(evm.ISZERO).JumpI(exit)
+		a.Push(0x80).Op(evm.MLOAD).Op(evm.CALLDATALOAD).Op(evm.POP)
+		a.Dup(1).Dup(4).Op(evm.ADD).Op(evm.CALLDATALOAD).Op(evm.POP)
+		a.Push(1).Dup(4).Op(evm.ADD).Swap(3).Op(evm.POP) // i++
+		a.Dup(3).Push(1).Op(evm.EQ).Op(evm.ISZERO).JumpI(loop)
+		a.Push(4).Op(evm.CALLDATALOAD).JumpI(loop)
+		a.Swap(1)
+		a.Push(0x22).Push(0x80).Op(evm.MSTORE)
+		a.Jump(loop)
+		a.Bind(exit)
+		a.Op(evm.STOP)
+	})
+	var got []uint64
+	for _, ev := range findCDL(events) {
+		if off, ok := ev.Off.ConstUint(); ok && off != 4 && off != 36 {
+			got = append(got, off)
+		}
+	}
+	slices.Sort(got)
+	// Before the fork: 0x11, 0x200. Fall-through: 0x22, 0x101, 0x102.
+	// Taken side: 0x11, 0x201, 0x202.
+	want := []uint64{0x11, 0x22, 0x101, 0x102, 0x200, 0x201, 0x202}
+	if !slices.Equal(got, want) {
+		t.Fatalf("constant loads %#x, want %#x", got, want)
+	}
+}
+
+// forkChain assembles a straight chain of k symbolic JUMPIs, each after
+// one MSTORE, whose taken sides stop at once: k forks, k+1 paths.
+func forkChain(tb testing.TB, k int) *Program {
+	tb.Helper()
+	a := evm.NewAssembler()
+	stop := a.NewLabel()
+	for i := 0; i < k; i++ {
+		a.Push(uint64(i)).Push(0x80).Op(evm.MSTORE)
+		a.Push(4).Op(evm.CALLDATALOAD).JumpI(stop)
+	}
+	a.Bind(stop)
+	a.Op(evm.STOP)
+	code, err := a.Assemble()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return evm.Disassemble(code)
+}
+
+// TestForkAllocsFlat: a fork copies into the buffers of a pooled state, so
+// once a few explorations have grown the pooled states' maps, exploring the
+// k-fork chain makes a few allocations whatever k is (6, 14 and 18 at k =
+// 4, 64 and 200: the fork list and the worklist grow in log k steps).
+// Under copy-on-write forks with separate buffer pools it made 30, 756
+// and 2,990: the first write after each fork took a fresh buffer that was
+// never pooled again. The race detector's sync.Pool drops a random share
+// of what is put back, so a -race build checks the exploration only.
+func TestForkAllocsFlat(t *testing.T) {
+	const ceiling = 24
+	for _, k := range []int{4, 64, 200} {
+		program := forkChain(t, k)
+		var paths int
+		explore := func() {
+			eng := newTASE(program, nil, defaultLimits())
+			eng.run()
+			eng.it.recycle()
+			paths = eng.paths
+		}
+		for range 10 {
+			explore()
+		}
+		got := testing.AllocsPerRun(10, explore)
+		if paths != 2*k+1 { // a fork counts its fall-through as a fresh path
+			t.Fatalf("k=%d: %d paths counted, want %d", k, paths, 2*k+1)
+		}
+		if got > ceiling && !raceEnabled {
+			t.Errorf("k=%d: %.0f allocs per exploration, above the %d ceiling", k, got, ceiling)
+		}
+	}
+}
