@@ -294,14 +294,15 @@ func TestAllocsE3TimeDistribution(t *testing.T) {
 
 // TestAllocsRecoverCorpus holds a whole RecoverContext, dispatcher walk
 // included, under a fixed ceiling over the E1 corpus (seed 1, 2,150
-// one-function contracts): 10% over the 29.4 allocs per contract it
-// was recorded at (39.9 before forks copied into pooled state buffers,
+// one-function contracts): 10% over the 27.3 allocs per contract it
+// was recorded at (29.4 with a fork list per path beside the worklist,
+// 39.9 before forks copied into pooled state buffers,
 // 46.7 before guard lists became persistent chains, 78.6 before inference
 // keyed on node identity). The E3 gate above counts
 // RecoverFunction alone, so only this gate sees a walk that re-enters
 // function bodies.
 func TestAllocsRecoverCorpus(t *testing.T) {
-	const ceiling = 33
+	const ceiling = 30
 	c, err := corpus.Generate(corpus.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)

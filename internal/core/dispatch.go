@@ -5,7 +5,7 @@ import "sigrec/internal/evm"
 // ExtractSelectors recovers the function ids a contract dispatches on by
 // symbolically executing the dispatcher (§2.2 of the paper): every EQ,
 // SUB or XOR of a 4-byte constant with an expression derived from
-// CALLDATALOAD(0) via DIV/SHR/SHL/AND is a dispatch test (SUB and XOR are
+// CALLDATALOAD(0) via DIV/SHR/AND is a dispatch test (SUB and XOR are
 // zero exactly on a match). The walk stops at function entries: it
 // follows an EQ test's branch to the next test and never enters the body
 // behind it.
@@ -84,10 +84,9 @@ func selectorTest(cond *Expr) (jumpToNext, ok bool) {
 }
 
 // isSelectorExpr recognizes expressions that extract the high 4 bytes of
-// CALLDATALOAD(0): any composition of DIV, SHR, SHL, and AND over that load
-// and constants. SHL admits the mask-as-shift-round-trip shape
-// (SHR(224, SHL(224, x)) for AND(x, 0xffffffff)) that obfuscated
-// dispatchers use.
+// CALLDATALOAD(0): any composition of DIV, SHR and AND over that load and
+// constants. A mask written as MOD or as a shift round trip reaches it as
+// its AND (see maskForm).
 func isSelectorExpr(e *Expr) bool {
 	hasLoad0 := false
 	ok := walkSelector(e, &hasLoad0)
@@ -107,7 +106,7 @@ func walkSelector(e *Expr, hasLoad0 *bool) bool {
 		return false
 	case KindApp:
 		switch e.Op {
-		case evm.DIV, evm.SHR, evm.SHL, evm.AND:
+		case evm.DIV, evm.SHR, evm.AND:
 			for _, a := range e.Args {
 				if !walkSelector(a, hasLoad0) {
 					return false

@@ -499,8 +499,10 @@ func (it *interner) app(op evm.Op, args ...*Expr) *Expr {
 
 // appN is app without the variadic copy, for callers that already hold a
 // slice (or a sub-slice of a scratch array — a slab copy is made on miss
-// so the canonical node never aliases caller scratch space).
+// so the canonical node never aliases caller scratch space). A mask shape
+// is rewritten in args first (see maskForm).
 func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
+	op = it.maskForm(op, args)
 	i, e := it.lookupApp(KindApp, op, args)
 	if e != nil {
 		it.hits++
@@ -519,4 +521,35 @@ func (it *interner) appN(op evm.Op, args []*Expr) *Expr {
 	it.assignID(e)
 	it.install(i, e)
 	return e
+}
+
+// maskForm rewrites the shapes that keep a constant mask of a symbolic x
+// into AND(x, mask), writing the operands into args, and returns the op to
+// intern: MOD(x, 2^k) with 1 <= k <= 255 keeps the low k bits, and with
+// 0 < s < 256 SHR(s, SHL(s, x)) keeps the low 256-s bits and
+// SHL(s, SHR(s, x)) the high 256-s bits. Each mask is then one node, read
+// by one rule: MOD(x, 256) is AND(x, 255).
+func (it *interner) maskForm(op evm.Op, args []*Expr) evm.Op {
+	var x *Expr
+	var mask evm.Word
+	switch op {
+	case evm.MOD:
+		if c := args[1].Conc; c != nil && c.Cmp(evm.OneWord) > 0 && c.And(c.Sub(evm.OneWord)).IsZero() {
+			x, mask = args[0], c.Sub(evm.OneWord)
+		}
+	case evm.SHR, evm.SHL:
+		undo, keep := evm.SHL, evm.LowMask
+		if op == evm.SHL {
+			undo, keep = evm.SHR, evm.HighMask
+		}
+		n, ok := args[0].ConstUint()
+		if in := args[1]; ok && n > 0 && n < 256 && in.Kind == KindApp && in.Op == undo && in.Args[0] == args[0] {
+			x, mask = in.Args[1], keep(uint(256-n))
+		}
+	}
+	if x == nil || x.Conc != nil {
+		return op // not a mask, or a concrete x that folds
+	}
+	args[0], args[1] = x, it.constW(mask)
+	return evm.AND
 }

@@ -452,3 +452,78 @@ func TestHandBuiltTraceInfersAlike(t *testing.T) {
 		t.Fatalf("only %d traces checked", checked)
 	}
 }
+
+// TestMaskFormNormalForm: a MOD by a power of two and a shift round trip
+// intern to the AND mask they compute, the very node AND(x, mask) is; the
+// shapes that are not a mask keep their op.
+func TestMaskFormNormalForm(t *testing.T) {
+	it := newInterner()
+	defer it.release()
+	x := it.cdata(it.constUint(4))
+	c := it.constUint
+	if mod, and := it.app(evm.MOD, x, c(256)), it.app(evm.AND, x, c(255)); mod != and {
+		t.Fatalf("MOD(x, 256) interned as %s, AND(x, 255) as %s", mod, and)
+	}
+	for _, tc := range []struct {
+		name string
+		e    *Expr
+		want evm.Op
+	}{
+		{"MOD(x, 2^160)", it.app(evm.MOD, x, it.constW(evm.OneWord.Shl(evm.WordFromUint64(160)))), evm.AND},
+		{"SHR(96, SHL(96, x))", it.app(evm.SHR, c(96), it.app(evm.SHL, c(96), x)), evm.AND},
+		{"SHL(224, SHR(224, x))", it.app(evm.SHL, c(224), it.app(evm.SHR, c(224), x)), evm.AND},
+		{"MOD(x, 10)", it.app(evm.MOD, x, c(10)), evm.MOD},
+		{"MOD(x, 1)", it.app(evm.MOD, x, c(1)), evm.MOD},
+		{"MOD(x, 0)", it.app(evm.MOD, x, c(0)), evm.MOD},
+		{"MOD(x, y)", it.app(evm.MOD, x, it.cdata(c(36))), evm.MOD},
+		{"MOD(7, 256)", it.app(evm.MOD, c(7), c(256)), evm.MOD},
+		{"SHR(8, SHL(16, x))", it.app(evm.SHR, c(8), it.app(evm.SHL, c(16), x)), evm.SHR},
+		{"SHR(0, SHL(0, x))", it.app(evm.SHR, c(0), it.app(evm.SHL, c(0), x)), evm.SHR},
+		{"SHL(256, SHR(256, x))", it.app(evm.SHL, c(256), it.app(evm.SHR, c(256), x)), evm.SHL},
+		{"SHR(8, SHR(8, x))", it.app(evm.SHR, c(8), it.app(evm.SHR, c(8), x)), evm.SHR},
+	} {
+		if tc.e.Op != tc.want {
+			t.Errorf("%s interned as %s, want op %s", tc.name, tc.e, tc.want)
+		}
+	}
+}
+
+// FuzzMaskForm is the soundness gate of maskForm: for every k and s in
+// 1..255, each accepted shape built over a symbolic atom must intern to an
+// AND of that atom whose value, with the atom bound to the fuzzed x, is
+// the value of the shape it replaced.
+func FuzzMaskForm(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80})
+	f.Add(evm.MaxWord.Bytes())
+	f.Add([]byte("\x01\x23\x45\x67\x89\xab\xcd\xef\xfe\xdc\xba\x98\x76\x54\x32\x10"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		x := evm.WordFromBytes(raw)
+		it := newInterner()
+		defer it.release()
+		atom := it.cdata(it.constUint(4))
+		fold := func(op evm.Op, a ...evm.Word) evm.Word {
+			w, _ := foldOp(op, a)
+			return w
+		}
+		check := func(shape string, e *Expr, want evm.Word) {
+			if e.Op != evm.AND || len(e.Args) != 2 || e.Args[0] != atom || e.Args[1].Conc == nil {
+				t.Fatalf("%s interned as %s, want AND(atom, mask)", shape, e)
+			}
+			if got := fold(evm.AND, x, *e.Args[1].Conc); !got.Eq(want) {
+				t.Fatalf("%s at x=%s: the AND gives %s, the shape %s", shape, x, got, want)
+			}
+		}
+		for n := uint64(1); n <= 255; n++ {
+			w := evm.WordFromUint64(n)
+			s := it.constW(w)
+			pow := evm.OneWord.Shl(w)
+			check(fmt.Sprintf("MOD(x, 2^%d)", n), it.app(evm.MOD, atom, it.constW(pow)),
+				fold(evm.MOD, x, pow))
+			check(fmt.Sprintf("SHR(%d, SHL(%d, x))", n, n), it.app(evm.SHR, s, it.app(evm.SHL, s, atom)),
+				fold(evm.SHR, w, fold(evm.SHL, w, x)))
+			check(fmt.Sprintf("SHL(%d, SHR(%d, x))", n, n), it.app(evm.SHL, s, it.app(evm.SHR, s, atom)),
+				fold(evm.SHL, w, fold(evm.SHR, w, x)))
+		}
+	})
+}

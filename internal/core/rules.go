@@ -186,33 +186,6 @@ func (p *profile) observe(ev *Event, isValue func(*Expr) bool) {
 		case b.Conc.Eq(boundAddress):
 			p.vyAddress = true
 		}
-	case evm.SHR, evm.SHL:
-		// Generalized mask rules (the paper's §7 anti-obfuscation
-		// direction): a shift round trip is semantically an AND mask.
-		// SHR(s, SHL(s, v)) keeps the low 256-s bits; SHL(s, SHR(s, v))
-		// keeps the high 256-s bits.
-		outerShift, inner := ev.Args[0], ev.Args[1]
-		if outerShift.Conc == nil || inner.Kind != KindApp {
-			return
-		}
-		wantInner := evm.SHL
-		if ev.Op == evm.SHL {
-			wantInner = evm.SHR
-		}
-		if inner.Op != wantInner || inner.Args[0].Conc == nil || !direct(inner.Args[1]) {
-			return
-		}
-		s, ok1 := outerShift.ConstUint()
-		s2, ok2 := inner.Args[0].ConstUint()
-		if !ok1 || !ok2 || s != s2 || s == 0 || s >= 256 || s%8 != 0 {
-			return
-		}
-		m := int(256-s) / 8
-		if ev.Op == evm.SHR {
-			p.maskLowBytes = m
-		} else {
-			p.maskHighBytes = m
-		}
 	case evm.ADD, evm.SUB, evm.MUL, evm.DIV, evm.EXP, evm.MOD:
 		// Arithmetic involvement; direct or via a prior mask.
 		for _, a := range ev.Args {

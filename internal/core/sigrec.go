@@ -28,8 +28,8 @@ type Options struct {
 	// built-in default. When the budget runs out the exploration stops
 	// forking at JUMPI fan-out points and the result is flagged Truncated.
 	StepBudget int
-	// MaxPaths caps the number of explored paths per TASE exploration.
-	// <= 0 selects the built-in default.
+	// MaxPaths caps the paths per TASE exploration, the first and one per
+	// JUMPI fork. <= 0 selects the built-in default, 512 paths.
 	MaxPaths int
 	// Deadline is the per-contract wall-clock budget; all explorations for
 	// the contract share it. <= 0 means no deadline. On expiry the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,14 +194,14 @@ type tase struct {
 	selWord    *evm.Word // value returned for CALLDATALOAD(0); nil = symbolic, the dispatcher walk
 	lim        limits
 	it         *interner // per-trace hash-consing table, event buffer and dedup set
-	paths      int
+	paths      int       // states run
 	totSteps   int
 	pruned     int // forks suppressed and worklist states dropped by budgets
 	trunc      bool
 	cancelable bool   // a deadline or cancellation channel is armed
 	expired    bool   // deadline passed or context cancelled
 	cloneBytes uint64 // bytes of stack, memory and visit counters copied at forks
-	stateGets  uint64 // state allocator requests (pool reuses + fresh allocs)
+	stateGets  uint64 // states taken from newState: the paths run and queued
 
 	// Set when run returns, from the interner, which the pipeline may
 	// recycle before the counters are folded (annotateTASE, finishTASE,
@@ -311,19 +312,15 @@ func (t *tase) run() []Event {
 		t.lim.maxPaths = maxPathsPerFn
 	}
 	t.cancelable = t.lim.done != nil || !t.lim.deadline.IsZero()
-	start := t.newState()
-	worklist := []*state{start}
+	worklist := []*state{t.newState()}
 	for len(worklist) > 0 && t.paths < t.lim.maxPaths && t.totSteps < t.lim.maxSteps &&
 		!(t.cancelable && t.pollCancel()) {
-		st := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		// Forks come back in encounter order; push them reversed so the
-		// pop order (earliest fork of the just-finished path first)
-		// matches the depth-first order the explorer has always used.
-		forks := t.explore(st)
-		for i := len(forks) - 1; i >= 0; i-- {
-			worklist = append(worklist, forks[i])
-		}
+		n := len(worklist) - 1
+		// explore appends the path's forks in encounter order; reversing
+		// them pops the earliest fork of the just-finished path first, the
+		// depth-first order the explorer has always used.
+		worklist = t.explore(worklist[n], worklist[:n])
+		slices.Reverse(worklist[n:])
 	}
 	if len(worklist) > 0 {
 		// Budget exhausted with states still queued: the result is partial.
@@ -373,12 +370,11 @@ func (t *tase) cloneState(s *state) *state {
 	return cp
 }
 
-// explore runs one path until it ends, returning forked states in the
-// order they were spawned. The state is consumed: it is released back to
-// the pool before returning.
-func (t *tase) explore(st *state) []*state {
+// explore runs one path until it ends, appending its forked states to
+// work in the order they were spawned, and returns work. The state is
+// consumed: it is released back to the pool before returning.
+func (t *tase) explore(st *state, work []*state) []*state {
 	t.paths++
-	var forks []*state
 	for {
 		if st.steps >= maxStepsPerPath || t.totSteps >= t.lim.maxSteps {
 			t.trunc = true
@@ -396,14 +392,14 @@ func (t *tase) explore(st *state) []*state {
 		t.totSteps++
 		fork, done := t.step(st, ins)
 		if fork != nil {
-			forks = append(forks, fork)
+			work = append(work, fork)
 		}
 		if done {
 			break
 		}
 	}
 	t.releaseState(st)
-	return forks
+	return work
 }
 
 // record deduplicates and stores an event.
@@ -534,10 +530,11 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 				t.pruned++
 				return follow(dv > ins.PC && !t.isRevertBlock(dv))
 			}
-			if t.paths >= t.lim.maxPaths || t.totSteps >= t.lim.maxSteps ||
+			if int(t.stateGets) >= t.lim.maxPaths || t.totSteps >= t.lim.maxSteps ||
 				(t.cancelable && t.pollCancel()) {
-				// Fan-out point with the global budget spent: stop forking,
-				// follow the fall-through only, and flag the result partial.
+				// Fan-out point with the global budget spent (stateGets counts
+				// the paths run and queued): stop forking, follow the
+				// fall-through only, and flag the result partial.
 				t.pruned++
 				t.trunc = true
 				return follow(false)
@@ -547,10 +544,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			st.pc = nextPC
 			other.guards = t.it.pushGuard(other.guards, mkGuard(true))
 			other.pc = dv
-			// Continue the fall-through on this path (counted as a fresh
-			// path, matching the old recursive accounting); queue the
-			// taken branch.
-			t.paths++
+			// Continue the fall-through on this path; queue the taken one.
 			return other, false
 
 		case evm.CALLDATALOAD:
@@ -653,7 +647,8 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			// operands has its own case above): build the application
 			// through the interner. Operands land in a scratch array — on
 			// an interner hit nothing is allocated; the canonical node's
-			// own Args slice backs any recorded event.
+			// own op and Args back any recorded event, so a mask shape the
+			// interner rewrote is recorded as its AND.
 			var argArr [3]*Expr
 			args := argArr[:pops]
 			for i := range args {
@@ -661,7 +656,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			}
 			e := t.it.appN(op, args)
 			if tainted(args) {
-				t.record(Event{Kind: EvOp, PC: ins.PC, Op: op, Args: e.Args, guards: st.guards})
+				t.record(Event{Kind: EvOp, PC: ins.PC, Op: e.Op, Args: e.Args, guards: st.guards})
 			}
 			if op.StackPushes() > 0 {
 				push(e)

@@ -433,14 +433,17 @@ func forkChain(tb testing.TB, k int) *Program {
 
 // TestForkAllocsFlat: a fork copies into the buffers of a pooled state, so
 // once a few explorations have grown the pooled states' maps, exploring the
-// k-fork chain makes a few allocations whatever k is (6, 14 and 18 at k =
-// 4, 64 and 200: the fork list and the worklist grow in log k steps).
-// Under copy-on-write forks with separate buffer pools it made 30, 756
-// and 2,990: the first write after each fork took a fresh buffer that was
-// never pooled again. The race detector's sync.Pool drops a random share
-// of what is put back, so a -race build checks the exploration only.
+// k-fork chain makes a few allocations whatever k is (3, 7 and 9 at k = 4,
+// 64 and 200: the worklist grows in log k steps; ceiling 10% over the
+// largest). With a fork list per path beside the worklist it made 6, 14
+// and 18; under copy-on-write forks with separate buffer pools it made
+// 30, 756 and 2,990: the first write after each fork took a fresh buffer
+// that was never pooled again. Each path is counted
+// once, so the chain reads k+1 paths (2k+1 while a fork also counted its
+// fall-through). The race detector's sync.Pool drops a random share of
+// what is put back, so a -race build checks the exploration only.
 func TestForkAllocsFlat(t *testing.T) {
-	const ceiling = 24
+	const ceiling = 10
 	for _, k := range []int{4, 64, 200} {
 		program := forkChain(t, k)
 		var paths int
@@ -454,11 +457,26 @@ func TestForkAllocsFlat(t *testing.T) {
 			explore()
 		}
 		got := testing.AllocsPerRun(10, explore)
-		if paths != 2*k+1 { // a fork counts its fall-through as a fresh path
-			t.Fatalf("k=%d: %d paths counted, want %d", k, paths, 2*k+1)
+		if paths != k+1 {
+			t.Fatalf("k=%d: %d paths counted, want %d", k, paths, k+1)
 		}
 		if got > ceiling && !raceEnabled {
 			t.Errorf("k=%d: %.0f allocs per exploration, above the %d ceiling", k, got, ceiling)
 		}
+	}
+}
+
+// TestPathBudgetBoundsForks: a queued fork counts against the path budget,
+// so a path that could fork more often than the budget allows stops
+// forking there, and the worklist never holds more states than the budget.
+func TestPathBudgetBoundsForks(t *testing.T) {
+	eng := newTASE(forkChain(t, 600), nil, defaultLimits())
+	eng.run()
+	eng.it.recycle()
+	if eng.paths != maxPathsPerFn || eng.stateGets != maxPathsPerFn {
+		t.Errorf("%d paths run from %d states, want %d of each", eng.paths, eng.stateGets, maxPathsPerFn)
+	}
+	if got := eng.truncationCause(); got != "paths" {
+		t.Errorf("truncation cause %q, want paths", got)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // E14Obfuscation is the §7 ablation: accuracy of SigRec (and the Eveem
 // heuristic baseline) against semantics-preserving instruction
 // substitution. This extends the paper, which names the attack as future
-// work: inert noise should not move semantics-based inference, shift-based
-// mask rewriting is covered by the generalized mask rules, and MOD-based
-// masking is the documented open limitation.
+// work: inert noise should not move semantics-based inference, and both
+// mask rewritings, shift round trips and MOD by a power of two, are undone
+// by the interner's mask normal form (internal/core maskForm).
 func E14Obfuscation(p Params) (Table, error) {
 	cfg := corpus.DefaultConfig(p.seed() + 14)
 	cfg.Solidity = p.scaled(600)
@@ -56,8 +56,8 @@ func E14Obfuscation(p Params) (Table, error) {
 		Header: []string{"bytecode", "SigRec", "Eveem heuristics"},
 		Notes: []string{
 			"noise: inert DUP/POP pairs between load and mask",
-			"shift-mask: AND masks rewritten to SHL/SHR round trips (generalized rules apply)",
-			"mod-mask: low masks rewritten to MOD 2^(8m) (documented open limitation)",
+			"shift-mask: AND masks rewritten to SHL/SHR round trips (interned back into the AND)",
+			"mod-mask: low masks rewritten to MOD 2^(8m) (interned back into the AND)",
 		},
 	}
 	rows := []struct {

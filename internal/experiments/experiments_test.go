@@ -301,10 +301,10 @@ func TestE14ObfuscationShape(t *testing.T) {
 		t.Errorf("noise moved SigRec: %.1f%% vs %.1f%%\n%s", noise, orig, tb)
 	}
 	if shift < orig-5 {
-		t.Errorf("shift-mask not covered by generalized rules: %.1f%% vs %.1f%%\n%s", shift, orig, tb)
+		t.Errorf("shift-mask not covered by the mask normal form: %.1f%% vs %.1f%%\n%s", shift, orig, tb)
 	}
-	if mod >= orig-2 {
-		t.Errorf("mod-mask should visibly reduce accuracy: %.1f%% vs %.1f%%\n%s", mod, orig, tb)
+	if mod < orig-5 {
+		t.Errorf("mod-mask not covered by the mask normal form: %.1f%% vs %.1f%%\n%s", mod, orig, tb)
 	}
 	// The adjacency-based heuristic baseline must crumble under noise.
 	evOrig := get("original", 2)

@@ -10,11 +10,11 @@
 //     mask. It breaks adjacency-based pattern matchers (the Eveem-class
 //     heuristics) but not semantics-based inference.
 //   - LevelShiftMask replaces AND masks with equivalent SHL/SHR (or
-//     SHR/SHL) round trips. SigRec's generalized mask rules recognize the
-//     equivalent semantics.
-//   - LevelModMask replaces low AND masks with MOD by 2^(8m), an
-//     equivalence SigRec does not model -- the open limitation the paper
-//     concedes for future work.
+//     SHR/SHL) round trips.
+//   - LevelModMask replaces low AND masks with MOD by 2^(8m).
+//
+// SigRec's interner rewrites both mask shapes back into the AND they
+// replace, so neither level moves what it recovers.
 //
 // Rewrites change instruction offsets, so jump targets are remapped: the
 // rewriter tracks old-to-new JUMPDEST positions and patches every PUSH2

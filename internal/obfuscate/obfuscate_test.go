@@ -82,55 +82,50 @@ func TestSemanticsPreserved(t *testing.T) {
 	}
 }
 
-// TestShiftMaskStillRecovered: the generalized mask rules must see through
-// the shift-round-trip rewriting.
-func TestShiftMaskStillRecovered(t *testing.T) {
-	for _, sigStr := range []string{"f(uint8)", "f(uint32,address)", "f(bytes4)"} {
+// recoveredUnder obfuscates each signature's contract at level and checks
+// that SigRec still recovers the original parameter types.
+func recoveredUnder(t *testing.T, level Level, seed int64, sigs ...string) {
+	t.Helper()
+	for _, sigStr := range sigs {
 		code, sig := compile(t, sigStr, solc.External)
-		obf, err := Obfuscate(code, LevelShiftMask, 3)
+		obf, err := Obfuscate(code, level, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec, _ := core.RecoverFunction(obf, sig.Selector())
 		got := abi.Signature{Name: "f", Inputs: rec.Inputs}
 		if !got.EqualTypes(sig) {
-			t.Errorf("%s under shift-mask: recovered %s", sigStr, got.TypeList())
+			t.Errorf("%s under %s: recovered %s", sigStr, level, got.TypeList())
 		}
 	}
+}
+
+// TestShiftMaskStillRecovered: the interner rewrites a shift round trip
+// into the AND mask it replaces, so the fine rules still fire.
+func TestShiftMaskStillRecovered(t *testing.T) {
+	recoveredUnder(t, LevelShiftMask, 3, "f(uint8)", "f(uint32,address)", "f(bytes4)")
 }
 
 // TestNoiseDoesNotAffectSigRec: inert instruction insertion must not move
 // semantics-based inference.
 func TestNoiseDoesNotAffectSigRec(t *testing.T) {
-	for _, sigStr := range []string{"f(uint8)", "f(bytes)", "f(uint256[])"} {
-		code, sig := compile(t, sigStr, solc.External)
-		obf, err := Obfuscate(code, LevelNoise, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, _ := core.RecoverFunction(obf, sig.Selector())
-		got := abi.Signature{Name: "f", Inputs: rec.Inputs}
-		if !got.EqualTypes(sig) {
-			t.Errorf("%s under noise: recovered %s", sigStr, got.TypeList())
-		}
-	}
+	recoveredUnder(t, LevelNoise, 5, "f(uint8)", "f(bytes)", "f(uint256[])")
 }
 
-// TestModMaskDefeatsFineRules pins the documented limitation: MOD-based
-// masking is not recognized, so uint8 degrades to uint256.
+// TestModMaskDefeatsFineRules: MOD masking takes every low AND mask out of
+// the bytecode, which a purely syntactic AND rule cannot see through; the
+// interner rewrites x % 2^(8m) into the AND mask, so the types survive.
 func TestModMaskDefeatsFineRules(t *testing.T) {
-	code, sig := compile(t, "f(uint8)", solc.External)
+	mod := []byte{byte(evm.SWAP1), byte(evm.MOD)}
+	code, _ := compile(t, "f(uint8)", solc.External)
 	obf, err := Obfuscate(code, LevelModMask, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := core.RecoverFunction(obf, sig.Selector())
-	if len(rec.Inputs) != 1 {
-		t.Fatalf("recovered %d params", len(rec.Inputs))
+	if bytes.Count(obf, mod) <= bytes.Count(code, mod) {
+		t.Fatal("mod-mask inserted no MOD")
 	}
-	if rec.Inputs[0].Kind == abi.KindUint && rec.Inputs[0].Bits == 8 {
-		t.Error("mod-mask was unexpectedly seen through (update EXPERIMENTS.md)")
-	}
+	recoveredUnder(t, LevelModMask, 3, "f(uint8)", "f(uint32,address)")
 }
 
 // TestJumpTargetRemap verifies control flow survives offset shifts.
