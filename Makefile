@@ -31,11 +31,13 @@ test:
 # down while the exporter and event-log goroutines drain. The recycling
 # tests run 10 more times: interners, slab chunks (nodes, guard and
 # copy-region chains), event buffers and exploration states with their
-# buffers pass between goroutines through sync.Pools, and a chunk recycled
-# while a trace still reaches it shows up on some schedules only (~20 s).
+# buffers and inference scratch pass between goroutines through
+# sync.Pools, and a chunk recycled while a trace still reaches it, or a
+# result that aliases a pooled buffer, shows up on some schedules only
+# (~40 s).
 race:
 	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan ./internal/daemon
-	$(GO) test -race -count=10 -run '^(TestInternerRecycleConcurrent|TestHeldTracesSurviveRecycling|TestPoolsDropOverCapBuffers|TestGuardChains|TestForkCopiesPathState|TestForkAllocsFlat)$$' ./internal/core
+	$(GO) test -race -count=10 -run '^(TestInternerRecycleConcurrent|TestHeldTracesSurviveRecycling|TestHeldResultsSurviveRecycling|TestPoolsDropOverCapBuffers|TestGuardChains|TestForkCopiesPathState|TestForkAllocsFlat)$$' ./internal/core
 
 # Re-record the per-signature golden (internal/core/testdata/
 # signatures.golden) and the engine-counter golden (engine_counts.golden)

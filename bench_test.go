@@ -272,12 +272,13 @@ func e3EventLog(tb testing.TB) *eventlog.Writer {
 const e3AllocRuns = 4
 
 // TestAllocsE3TimeDistribution holds the E3 experiment (Fig. 17) under a
-// fixed ceiling: 10% over the 6,066 allocs per run it was recorded at
-// (7,141 before forks copied into pooled state buffers, 7,718 before guard
-// lists became persistent chains, 11,331 before inference keyed on node
-// identity).
+// fixed ceiling: 10% over the 3,392 allocs per run it was recorded at
+// (5,874 before inference took its scratch from a pool, against 6,066 at
+// the gate's previous setting; 7,141 before forks copied into pooled
+// state buffers, 7,718 before guard lists became persistent chains,
+// 11,331 before inference keyed on node identity).
 func TestAllocsE3TimeDistribution(t *testing.T) {
-	const ceiling = 6680
+	const ceiling = 3730
 	r, ok := experiments.ByID("e3")
 	if !ok {
 		t.Fatal("unknown experiment e3")
@@ -294,15 +295,16 @@ func TestAllocsE3TimeDistribution(t *testing.T) {
 
 // TestAllocsRecoverCorpus holds a whole RecoverContext, dispatcher walk
 // included, under a fixed ceiling over the E1 corpus (seed 1, 2,150
-// one-function contracts): 10% over the 27.3 allocs per contract it
-// was recorded at (29.4 with a fork list per path beside the worklist,
-// 39.9 before forks copied into pooled state buffers,
+// one-function contracts): 10% over the 4.9 allocs per contract it was
+// recorded at (27.3 before inference took its scratch from a pool and
+// the engines stayed on the stack, 29.4 with a fork list per path beside
+// the worklist, 39.9 before forks copied into pooled state buffers,
 // 46.7 before guard lists became persistent chains, 78.6 before inference
 // keyed on node identity). The E3 gate above counts
 // RecoverFunction alone, so only this gate sees a walk that re-enters
 // function bodies.
 func TestAllocsRecoverCorpus(t *testing.T) {
-	const ceiling = 30
+	const ceiling = 5.4
 	c, err := corpus.Generate(corpus.DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -315,14 +317,16 @@ func TestAllocsRecoverCorpus(t *testing.T) {
 		}
 	}) / float64(len(c.Entries))
 	if got > ceiling {
-		t.Errorf("RecoverContext makes %.1f allocs per contract over E1, above the %d ceiling", got, ceiling)
+		t.Errorf("RecoverContext makes %.2f allocs per contract over E1, above the %.1f ceiling", got, ceiling)
 	}
 }
 
 // TestAllocBytesRecoverCorpus holds the bytes a whole RecoverContext
 // allocates over the E1 corpus (seed 1, 2,150 one-function contracts)
-// under a fixed ceiling: 10% over the 2,305 B per contract it was
-// recorded at (3,513 B before forks copied into pooled state buffers,
+// under a fixed ceiling: 10% over the 347 B per contract it was recorded
+// at (2,283 B before inference took its scratch from a pool and the
+// engines stayed on the stack, against 2,305 B at the gate's previous
+// setting; 3,513 B before forks copied into pooled state buffers,
 // 4,360 B before guard lists became persistent chains,
 // 31,511 B before the engine recycled its per-recovery memory, 9,500 B
 // before inference keyed on node identity and the node table was
@@ -338,13 +342,15 @@ func TestAllocBytesRecoverCorpus(t *testing.T) {
 	for i, e := range c.Entries {
 		codes[i] = e.Code
 	}
-	checkRecoverBytes(t, "E1", codes, 2540)
+	checkRecoverBytes(t, "E1", codes, 382)
 }
 
 // TestAllocBytesRecoverDataset2 is TestAllocBytesRecoverCorpus over
 // dataset 2 (seed 1, 100 ten-function contracts with arrays up to 3-D),
 // where the node table and inference's per-node state weigh most: 10%
-// over the 44,560 B per contract it was recorded at (64,531 B before forks
+// over the 5,081 B per contract it was recorded at (44,110 B before
+// inference took its scratch from a pool, against 44,560 B at the gate's
+// previous setting; 64,531 B before forks
 // copied into pooled state buffers, 123,800 B before guard lists became
 // persistent chains, 233,700 B before inference keyed on node identity
 // and the node table was pooled).
@@ -361,15 +367,18 @@ func TestAllocBytesRecoverDataset2(t *testing.T) {
 			codes = append(codes, e.Code)
 		}
 	}
-	checkRecoverBytes(t, "dataset 2", codes, 49100)
+	checkRecoverBytes(t, "dataset 2", codes, 5590)
 }
 
 // TestAllocBytesRecoverDeepNested is TestAllocBytesRecoverCorpus over the
 // dimension-20 contract of the Fig. 18 sweep (uint256[1]...[1][2], 20
 // dimensions), whose 20 nested loop guards every path carries: 10% over
-// the 4,880 B per recovery it was recorded at (5,824 B before forks copied
-// into pooled state buffers, 18,986 B before guard lists became
-// persistent chains and every fork copied them).
+// the 1,736 B per recovery it was recorded at (4,864 B before inference
+// took its scratch from a pool and built an array type's levels in one
+// allocation, against 4,880 B at the gate's previous setting; 5,824 B
+// before forks copied into pooled state buffers,
+// 18,986 B before guard lists became persistent chains and every fork
+// copied them).
 func TestAllocBytesRecoverDeepNested(t *testing.T) {
 	ty := abi.Uint(256)
 	for d := 0; d < 19; d++ {
@@ -382,7 +391,7 @@ func TestAllocBytesRecoverDeepNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecoverBytes(t, "the Fig. 18 dimension-20 contract", [][]byte{code}, 5370)
+	checkRecoverBytes(t, "the Fig. 18 dimension-20 contract", [][]byte{code}, 1910)
 }
 
 // checkRecoverBytes fails t when RecoverContext allocates more than

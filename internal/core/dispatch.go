@@ -1,6 +1,10 @@
 package core
 
-import "sigrec/internal/evm"
+import (
+	"slices"
+
+	"sigrec/internal/evm"
+)
 
 // ExtractSelectors recovers the function ids a contract dispatches on by
 // symbolically executing the dispatcher (§2.2 of the paper): every EQ,
@@ -11,8 +15,8 @@ import "sigrec/internal/evm"
 // behind it.
 func ExtractSelectors(program *Program) [][4]byte {
 	t := newTASE(program, nil, defaultLimits()) // selWord nil: the selector stays symbolic
-	sels := extractSelectors(t)
-	meterTASE(t)
+	sels := extractSelectors(&t)
+	meterTASE(&t.taseCounts)
 	return sels
 }
 
@@ -28,7 +32,6 @@ func ExtractSelectors(program *Program) [][4]byte {
 func extractSelectors(t *tase) [][4]byte {
 	events := t.run()
 	var out [][4]byte
-	seen := make(map[[4]byte]bool)
 	for _, ev := range events {
 		if ev.Kind != EvOp {
 			continue
@@ -39,8 +42,7 @@ func extractSelectors(t *tase) [][4]byte {
 			continue
 		}
 		id, ok := selectorCompare(ev.Args)
-		if ok && !seen[id] {
-			seen[id] = true
+		if ok && !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}

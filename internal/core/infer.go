@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"sigrec/internal/abi"
 	"sigrec/internal/evm"
@@ -30,19 +32,30 @@ func (l Language) String() string {
 // trace the interner makes structurally equal values one node, so a
 // pointer compare is a structural compare, and a node's dense id indexes
 // per-node state.
+//
+// An inference is the pooled scratch of one Infer call (inferencePool):
+// every buffer below keeps its memory from one call to the next, and only
+// what Inferred returns is allocated per call. release empties the
+// buffers by clearing the prefix the trace used, so a small trace after a
+// large one pays for its own size, not for the buffers' high-water mark.
 type inference struct {
 	events []Event
 	stats  RuleStats
 	lang   Language
 
-	// The events by kind, as views into events.
-	cdls []*Event // CALLDATALOAD events
-	cdcs []*Event // CALLDATACOPY events
-	ops  []*Event // tainted instruction events
+	// split backs the views of the events by kind: loads, then copies,
+	// then the rest, each part capped so appends cannot spill into the
+	// next.
+	split []*Event
+	cdls  []*Event // CALLDATALOAD events
+	cdcs  []*Event // CALLDATACOPY events
+	ops   []*Event // tainted instruction events
 
-	// cur accumulates the rules applied while classifying the current
-	// parameter (the per-parameter explanation).
-	cur []RuleID
+	// trail holds the rules applied so far, one run per parameter (the
+	// per-parameter explanation); mark is where the current parameter's
+	// run starts.
+	trail []RuleID
+	mark  int
 
 	// nodes holds per-node state for the trace's interned nodes, indexed by
 	// id (the interner numbers a trace's nodes from 1). A node without an
@@ -61,9 +74,34 @@ type inference struct {
 	loadsIndexed, boundsMarked bool
 	otherBounds                []*Expr
 
-	// lin is the scratch term buffer behind linearize.
+	// lin is the scratch term buffer behind linearize. It is as long as
+	// the longest linearization of the call, so release clears all of it.
 	lin []LinearTerm
+
+	// claims are the parameters recovered so far, in stage order (see
+	// classify).
+	claims []claim
+	// heads and uses are derefedHeadSlots' buffers, reads the static-array
+	// stages' grouping of constant reads by pc, items classifySequence's,
+	// and dims guardDims' buffer.
+	heads []headSlot
+	uses  []*Expr
+	reads []constRead
+	items []itemGroup
+	dims  []uint64
+	// views holds classifyBody's view of the body at each nesting depth.
+	views [maxNestingDepth + 1]bodyView
 }
+
+// inferencePool recycles inference scratch from one Infer call to the next.
+var inferencePool = sync.Pool{New: func() any { return new(inference) }}
+
+// maxPooledInferBytes caps the scratch an inference may hold to go back to
+// inferencePool: about three times the largest scratch over E1 seed 1 and
+// dataset 2 seeds 1-3 (22 KB). The scratch of a larger trace is left to
+// the collector, like an over-cap event buffer, so an adversarial trace
+// cannot pin it in the pool.
+const maxPooledInferBytes = 64 << 10
 
 // nodeInfo is the inference state of one interned node.
 type nodeInfo struct {
@@ -95,25 +133,29 @@ func (inf *inference) linearize(e *Expr) Linear {
 	return l
 }
 
+// ruleRun is one parameter's rules, trail[lo:hi].
+type ruleRun struct{ lo, hi int }
+
 // hit records a rule application against the global stats, the pipeline's
 // per-rule fired counters (sigrec_rule_fired_total{rule=...}), and the
 // current parameter's explanation.
 func (inf *inference) hit(r RuleID) {
 	inf.stats.hit(r)
 	mRuleFired[r].Inc()
-	inf.cur = append(inf.cur, r)
+	inf.trail = append(inf.trail, r)
 }
 
-// beginParam starts a fresh explanation and returns the rules applied to
-// the previous parameter.
+// beginParam starts a fresh explanation, dropping any rule applied since
+// the last takeRules.
 func (inf *inference) beginParam() {
-	inf.cur = nil
+	inf.trail = inf.trail[:inf.mark]
 }
 
-func (inf *inference) takeRules() []RuleID {
-	out := inf.cur
-	inf.cur = nil
-	return out
+// takeRules ends the current explanation and returns its run of the trail.
+func (inf *inference) takeRules() ruleRun {
+	r := ruleRun{inf.mark, len(inf.trail)}
+	inf.mark = len(inf.trail)
+	return r
 }
 
 // bodyDesc reduces a Linear to a uint64 constant plus atoms with uint64
@@ -253,15 +295,33 @@ func InferSignature(tr Trace) ([]abi.Type, Language, RuleStats) {
 	return d.Types, d.Language, d.Stats
 }
 
-// Infer runs type inference with per-parameter rule explanations.
+// Infer runs type inference with per-parameter rule explanations. Its
+// scratch comes from inferencePool and goes back before it returns;
+// nothing it returns points into the scratch.
 func Infer(tr Trace) Inferred {
-	inf := &inference{events: tr.Events, lang: LangSolidity}
+	inf := inferencePool.Get().(*inference)
+	out := inf.infer(tr)
+	inf.release()
+	return out
+}
+
+// infer runs the inference over tr in an empty scratch.
+func (inf *inference) infer(tr Trace) Inferred {
+	inf.load(tr)
+	inf.detectLanguage()
+	langRules := inf.takeRules() // R20, when it fired
+	inf.classify()
+	return inf.output(langRules)
+}
+
+// load readies a pooled, empty scratch for tr: the id-indexed node records
+// and the views of the events by kind.
+func (inf *inference) load(tr Trace) {
+	inf.events, inf.lang = tr.Events, LangSolidity
 	if tr.it != nil && len(tr.Events) > 0 {
-		inf.nodes = make([]nodeInfo, tr.it.nextID+1)
+		// A pooled buffer is zero past its length, so no clearing here.
+		inf.nodes = slices.Grow(inf.nodes, int(tr.it.nextID)+1)[:tr.it.nextID+1]
 	}
-	// Split the events by kind into one array of views: loads, then
-	// copies, then the rest, each part capped so appends cannot spill into
-	// the next.
 	var nCDL, nCDC int
 	for _, ev := range tr.Events {
 		switch ev.Kind {
@@ -271,10 +331,10 @@ func Infer(tr Trace) Inferred {
 			nCDC++
 		}
 	}
-	split := make([]*Event, 0, len(tr.Events))
-	inf.cdls = split[:0:nCDL]
-	inf.cdcs = split[nCDL : nCDL : nCDL+nCDC]
-	inf.ops = split[nCDL+nCDC : nCDL+nCDC]
+	inf.split = slices.Grow(inf.split, len(tr.Events))[:len(tr.Events)]
+	inf.cdls = inf.split[:0:nCDL]
+	inf.cdcs = inf.split[nCDL : nCDL : nCDL+nCDC]
+	inf.ops = inf.split[nCDL+nCDC : nCDL+nCDC]
 	for i := range tr.Events {
 		switch ev := &tr.Events[i]; ev.Kind {
 		case EvCDL:
@@ -285,15 +345,93 @@ func Infer(tr Trace) Inferred {
 			inf.ops = append(inf.ops, ev)
 		}
 	}
-	inf.detectLanguage()
-	langRules := inf.takeRules() // R20, when it fired
-	types, paramRules := inf.classify()
-	if len(langRules) > 0 && len(paramRules) > 0 {
-		// Attribute language detection to the first parameter's trail so
-		// the explanation reads root-first, as in the decision tree.
-		paramRules[0] = append(langRules, paramRules[0]...)
+}
+
+// output builds the result in fresh memory, in head-offset order: the
+// types, and the rule trails carved from one exact-size []RuleID, the
+// language rules leading the first parameter's trail so the explanation
+// reads root-first, as in the decision tree.
+func (inf *inference) output(langRules ruleRun) Inferred {
+	claims := inf.claims
+	slices.SortFunc(claims, func(a, b claim) int { return cmp.Compare(a.off, b.off) })
+	out := Inferred{
+		Types:      make([]abi.Type, len(claims)),
+		ParamRules: make([][]RuleID, len(claims)),
+		Language:   inf.lang,
+		Stats:      inf.stats,
 	}
-	return Inferred{Types: types, ParamRules: paramRules, Language: inf.lang, Stats: inf.stats}
+	if len(claims) == 0 {
+		return out
+	}
+	n := langRules.hi - langRules.lo
+	for _, cl := range claims {
+		n += cl.rules.hi - cl.rules.lo
+	}
+	trails := make([]RuleID, 0, n)
+	for i, cl := range claims {
+		out.Types[i] = cl.typ
+		start := len(trails)
+		if i == 0 {
+			trails = append(trails, inf.trail[langRules.lo:langRules.hi]...)
+		}
+		trails = append(trails, inf.trail[cl.rules.lo:cl.rules.hi]...)
+		if len(trails) > start {
+			out.ParamRules[i] = trails[start:len(trails):len(trails)]
+		}
+	}
+	return out
+}
+
+// bytes reports the memory the scratch's buffers hold.
+func (inf *inference) bytes() int {
+	n := sliceBytes(inf.split) + sliceBytes(inf.trail) + sliceBytes(inf.nodes) +
+		sliceBytes(inf.descs) + sliceBytes(inf.terms) + sliceBytes(inf.otherBounds) +
+		sliceBytes(inf.lin) + sliceBytes(inf.claims) + sliceBytes(inf.heads) +
+		sliceBytes(inf.uses) + sliceBytes(inf.reads) + sliceBytes(inf.items) + sliceBytes(inf.dims)
+	for i := range inf.views {
+		v := &inf.views[i]
+		n += sliceBytes(v.reads) + sliceBytes(v.children) + sliceBytes(v.fields)
+	}
+	return n
+}
+
+// sliceBytes is the memory behind s.
+func sliceBytes[T any](s []T) int {
+	var zero T
+	return cap(s) * int(unsafe.Sizeof(zero))
+}
+
+// release returns the scratch to inferencePool, emptied, unless it grew
+// past maxPooledInferBytes, and reports whether it did. Each buffer is
+// cleared over the prefix this call used (every buffer is zero past its
+// length), so the pool pins no trace and no output, and a pooled scratch
+// is all zero.
+func (inf *inference) release() bool {
+	if inf.bytes() > maxPooledInferBytes {
+		return false
+	}
+	clear(inf.split)
+	clear(inf.nodes)
+	clear(inf.descs)
+	clear(inf.terms)
+	clear(inf.otherBounds)
+	clear(inf.lin[:cap(inf.lin)])
+	clear(inf.claims)
+	clear(inf.heads)
+	clear(inf.uses)
+	clear(inf.reads)
+	for i := range inf.views {
+		inf.views[i].reset()
+	}
+	*inf = inference{
+		split: inf.split[:0], trail: inf.trail[:0], nodes: inf.nodes[:0],
+		descs: inf.descs[:0], terms: inf.terms[:0], otherBounds: inf.otherBounds[:0],
+		lin: inf.lin[:0], claims: inf.claims[:0], heads: inf.heads[:0],
+		uses: inf.uses[:0], reads: inf.reads[:0], items: inf.items[:0], dims: inf.dims[:0],
+		views: inf.views,
+	}
+	inferencePool.Put(inf)
+	return true
 }
 
 // detectLanguage applies rule R20: Vyper bytecode validates basic values
@@ -335,7 +473,7 @@ type claim struct {
 	off   uint64
 	size  uint64
 	typ   abi.Type
-	rules []RuleID
+	rules ruleRun
 }
 
 // claimedBy reports whether head offset off is already absorbed by a claim:
@@ -352,36 +490,25 @@ func claimedBy(claims []claim, off uint64) bool {
 }
 
 // classify performs coarse inference (head layout) and then fine inference
-// per parameter, returning the types and per-parameter rule trails. Each
-// stage sees the claims of the stages before it, not its own.
-func (inf *inference) classify() ([]abi.Type, [][]RuleID) {
-	var claims []claim
-
+// per parameter, appending the claims to inf.claims. Each stage sees the
+// claims of the stages before it, not its own.
+func (inf *inference) classify() {
 	// 1. Dynamic parameters: head slots whose loaded value is dereferenced.
 	for _, h := range inf.derefedHeadSlots() {
 		inf.beginParam()
 		typ := inf.classifyDynamic(h.atom)
-		claims = append(claims, claim{off: h.off, size: 32, typ: typ, rules: inf.takeRules()})
+		inf.claims = append(inf.claims, claim{off: h.off, size: 32, typ: typ, rules: inf.takeRules()})
 	}
 
 	// 2. Static arrays copied in public mode (constant-source CALLDATACOPY).
-	claims = append(claims, inf.staticPublicArrays(claims)...)
+	inf.staticPublicArrays()
 
 	// 3. Static arrays read in external mode (pc-grouped constant loads
 	//    under constant bound checks).
-	claims = append(claims, inf.staticExternalArrays(claims)...)
+	inf.staticExternalArrays()
 
 	// 4. Remaining constant head reads are basic values.
-	claims = append(claims, inf.basicClaims(claims)...)
-
-	slices.SortFunc(claims, func(a, b claim) int { return cmp.Compare(a.off, b.off) })
-	types := make([]abi.Type, 0, len(claims))
-	rules := make([][]RuleID, 0, len(claims))
-	for _, cl := range claims {
-		types = append(types, cl.typ)
-		rules = append(rules, cl.rules)
-	}
-	return types, rules
+	inf.basicClaims()
 }
 
 // headSlot is a constant head offset and the trace's node for the value
@@ -401,9 +528,9 @@ func headOffset(val *Expr) (uint64, bool) {
 
 // derefedHeadSlots finds constant head offsets whose loaded value,
 // CALLDATALOAD(off), is a term of the base of further call-data reads or
-// copies (offset fields).
+// copies (offset fields). The slots are valid until the next call.
 func (inf *inference) derefedHeadSlots() []headSlot {
-	var uses []*Expr
+	uses := inf.uses[:0]
 	note := func(e *Expr) {
 		if d, ok := inf.descOf(e); ok {
 			for _, t := range d.terms {
@@ -421,7 +548,8 @@ func (inf *inference) derefedHeadSlots() []headSlot {
 	for _, ev := range inf.cdcs {
 		note(ev.Src)
 	}
-	var out []headSlot
+	inf.uses = uses
+	out := inf.heads[:0]
 	for _, ev := range inf.cdls {
 		off, ok := headOffset(ev.Val)
 		if !ok || off < 4 || !slices.Contains(uses, ev.Val) ||
@@ -431,6 +559,7 @@ func (inf *inference) derefedHeadSlots() []headSlot {
 		out = append(out, headSlot{off: off, atom: ev.Val})
 	}
 	slices.SortFunc(out, func(a, b headSlot) int { return cmp.Compare(a.off, b.off) })
+	inf.heads = out
 	return out
 }
 
@@ -450,11 +579,11 @@ func loopBound(g Guard) (*Expr, bool) {
 	return cond.Args[1], true
 }
 
-// guardDims extracts the loop dimension bounds controlling an event,
-// outermost first: constant bounds yield static dimensions, call-data-
-// derived bounds dynamic ones (nil entry). Of several guards at one JUMPI
-// pc, the outermost one counts.
-func guardDims(ev *Event) (constDims []uint64, dynCount int) {
+// guardDims returns the static dimensions of the loops controlling an
+// event, outermost first, in inf.dims (valid until the next call): each
+// loop guard with a constant bound yields one. Of several guards at one
+// JUMPI pc, the outermost one counts.
+func (inf *inference) guardDims(ev *Event) []uint64 {
 	type loopGuard struct {
 		pc    uint64
 		bound *Expr
@@ -471,71 +600,99 @@ func guardDims(ev *Event) (constDims []uint64, dynCount int) {
 			loops = append(loops, loopGuard{n.PC, bound})
 		}
 	}
+	dims := inf.dims[:0]
 	for i := len(loops) - 1; i >= 0; i-- {
 		g := loops[i]
 		if slices.ContainsFunc(loops[i+1:], func(o loopGuard) bool { return o.pc == g.pc }) {
 			continue // an enclosing guard at this pc already counted
 		}
-		if v, isConst := g.bound.ConstUint(); isConst {
-			if v >= 1 && v <= 1<<20 {
-				constDims = append(constDims, v)
-			}
-			continue
-		}
-		if g.bound.ContainsCData() {
-			dynCount++
+		if v, isConst := g.bound.ConstUint(); isConst && v >= 1 && v <= 1<<20 {
+			dims = append(dims, v)
 		}
 	}
-	return constDims, dynCount
+	inf.dims = dims
+	return dims
 }
 
-// buildStaticArray nests dims (outermost first) over the element type.
-func buildStaticArray(dims []uint64, elem abi.Type) abi.Type {
-	t := elem
-	for i := len(dims) - 1; i >= 0; i-- {
-		t = abi.ArrayOf(t, int(dims[i]))
+// buildArray nests static arrays of dims (outermost first) over the
+// element type, inside a dynamic array when dynamic is set. The element
+// types the levels point to share one allocation.
+func buildArray(dynamic bool, dims []uint64, elem abi.Type) abi.Type {
+	outer := 0 // levels outside the static dims
+	if dynamic {
+		outer = 1
 	}
-	return t
+	n := outer + len(dims)
+	if n == 0 {
+		return elem
+	}
+	level := func(k int, of *abi.Type) abi.Type {
+		if k < outer {
+			return abi.Type{Kind: abi.KindSlice, Elem: of}
+		}
+		return abi.Type{Kind: abi.KindArray, Len: int(dims[k-outer]), Elem: of}
+	}
+	// chain[k] is the element type of level k.
+	chain := make([]abi.Type, n)
+	chain[n-1] = elem
+	for k := n - 1; k >= 1; k-- {
+		chain[k-1] = level(k, &chain[k])
+	}
+	return level(0, &chain[0])
 }
 
-// staticPublicArrays recognizes rule R6/R9 claims.
-func (inf *inference) staticPublicArrays(claims []claim) []claim {
-	type group struct {
-		minSrc uint64
-		ev     *Event
+// constRead is one call-data read or copy at a constant offset off, for
+// the static-array stages' grouping by pc.
+type constRead struct {
+	pc, off uint64
+	ev      *Event
+}
+
+// groupReads sorts inf.reads by pc, keeping event order within a pc.
+func (inf *inference) groupReads() []constRead {
+	slices.SortStableFunc(inf.reads, func(a, b constRead) int { return cmp.Compare(a.pc, b.pc) })
+	return inf.reads
+}
+
+// pcRun returns the leading run of reads sharing reads[0]'s pc.
+func pcRun(reads []constRead) []constRead {
+	n := 1
+	for n < len(reads) && reads[n].pc == reads[0].pc {
+		n++
 	}
-	groups := make(map[uint64]*group)
-	var order []uint64
+	return reads[:n]
+}
+
+// staticPublicArrays recognizes rule R6/R9 claims: per copying pc, the
+// first copy from the lowest constant source.
+func (inf *inference) staticPublicArrays() {
+	prior := len(inf.claims)
+	clear(inf.reads)
+	inf.reads = inf.reads[:0]
 	for _, ev := range inf.cdcs {
-		src, ok := ev.Src.ConstUint()
-		if !ok || src < 4 {
-			continue
-		}
-		g, exists := groups[ev.PC]
-		if !exists {
-			groups[ev.PC] = &group{minSrc: src, ev: ev}
-			order = append(order, ev.PC)
-			continue
-		}
-		if src < g.minSrc {
-			g.minSrc = src
-			g.ev = ev
+		if src, ok := ev.Src.ConstUint(); ok && src >= 4 {
+			inf.reads = append(inf.reads, constRead{pc: ev.PC, off: src, ev: ev})
 		}
 	}
-	slices.Sort(order)
-	var out []claim
-	for _, pc := range order {
-		g := groups[pc]
-		if claimedBy(claims, g.minSrc) {
+	for rest := inf.groupReads(); len(rest) > 0; {
+		run := pcRun(rest)
+		rest = rest[len(run):]
+		g := run[0]
+		for _, r := range run[1:] {
+			if r.off < g.off {
+				g = r
+			}
+		}
+		if claimedBy(inf.claims[:prior], g.off) {
 			continue
 		}
-		inf.beginParam()
 		rowLen, ok := g.ev.Len.ConstUint()
 		if !ok || rowLen == 0 || rowLen%32 != 0 {
 			continue
 		}
-		dims, _ := guardDims(g.ev)
-		dims = append(dims, rowLen/32)
+		inf.beginParam()
+		inf.dims = append(inf.guardDims(g.ev), rowLen/32)
+		dims := inf.dims
 		total := uint64(32)
 		for _, d := range dims {
 			total *= d
@@ -547,54 +704,44 @@ func (inf *inference) staticPublicArrays(claims []claim) []claim {
 		}
 		elem := inf.refineBasic(inf.profileFor(func(a *Expr) bool {
 			d, ok2 := inf.descOf(a.Args[0])
-			return ok2 && len(d.terms) == 0 && d.c >= g.minSrc && d.c < g.minSrc+total
+			return ok2 && len(d.terms) == 0 && d.c >= g.off && d.c < g.off+total
 		}))
-		out = append(out, claim{off: g.minSrc, size: total, typ: buildStaticArray(dims, elem), rules: inf.takeRules()})
+		inf.claims = append(inf.claims, claim{off: g.off, size: total, typ: buildArray(false, dims, elem), rules: inf.takeRules()})
 	}
-	return out
 }
 
 // staticExternalArrays recognizes rule R3 (and Vyper R24) claims: the same
 // CALLDATALOAD instruction observed at multiple constant offsets, guarded by
 // constant bound checks.
-func (inf *inference) staticExternalArrays(claims []claim) []claim {
-	type group struct {
-		offs []uint64
-		ev   *Event
-	}
-	groups := make(map[uint64]*group)
-	var order []uint64
+func (inf *inference) staticExternalArrays() {
+	prior := len(inf.claims)
+	clear(inf.reads)
+	inf.reads = inf.reads[:0]
 	for _, ev := range inf.cdls {
-		off, ok := ev.Off.ConstUint()
-		if !ok || off < 4 {
-			continue
+		if off, ok := ev.Off.ConstUint(); ok && off >= 4 {
+			inf.reads = append(inf.reads, constRead{pc: ev.PC, off: off, ev: ev})
 		}
-		g, exists := groups[ev.PC]
-		if !exists {
-			groups[ev.PC] = &group{offs: []uint64{off}, ev: ev}
-			order = append(order, ev.PC)
-			continue
-		}
-		g.offs = append(g.offs, off)
 	}
-	slices.Sort(order)
-	var out []claim
-	for _, pc := range order {
-		g := groups[pc]
-		dims, _ := guardDims(g.ev)
-		if len(g.offs) < 2 && len(dims) == 0 {
+	for rest := inf.groupReads(); len(rest) > 0; {
+		run := pcRun(rest)
+		rest = rest[len(run):]
+		dims := inf.guardDims(run[0].ev)
+		if len(run) < 2 && len(dims) == 0 {
 			// A single unguarded load is a basic value, not an array.
 			continue
 		}
-		slices.Sort(g.offs)
-		base := g.offs[0]
-		if claimedBy(claims, base) {
+		base := run[0].off
+		for _, r := range run[1:] {
+			base = min(base, r.off)
+		}
+		if claimedBy(inf.claims[:prior], base) {
 			continue
 		}
 		inf.beginParam()
 		if len(dims) == 0 {
 			// No bound checks: treat the distinct offsets as a 1-dim array.
-			dims = []uint64{uint64(len(g.offs))}
+			inf.dims = append(dims, uint64(len(run)))
+			dims = inf.dims
 		}
 		total := uint64(32)
 		for _, d := range dims {
@@ -609,22 +756,20 @@ func (inf *inference) staticExternalArrays(claims []claim) []claim {
 			d, ok2 := inf.descOf(a.Args[0])
 			return ok2 && len(d.terms) == 0 && d.c >= base && d.c < base+total
 		}))
-		out = append(out, claim{off: base, size: total, typ: buildStaticArray(dims, elem), rules: inf.takeRules()})
+		inf.claims = append(inf.claims, claim{off: base, size: total, typ: buildArray(false, dims, elem), rules: inf.takeRules()})
 	}
-	return out
 }
 
 // basicClaims turns the remaining constant head reads into basic values
-// (rule R4 for Solidity, R25 for Vyper).
-func (inf *inference) basicClaims(claims []claim) []claim {
-	seen := make(map[uint64]bool)
-	var out []claim
+// (rule R4 for Solidity, R25 for Vyper), one per offset.
+func (inf *inference) basicClaims() {
+	prior := len(inf.claims)
 	for _, ev := range inf.cdls {
 		off, ok := ev.Off.ConstUint()
-		if !ok || off < 4 || claimedBy(claims, off) || seen[off] {
+		if !ok || off < 4 || claimedBy(inf.claims[:prior], off) ||
+			slices.ContainsFunc(inf.claims[prior:], func(cl claim) bool { return cl.off == off }) {
 			continue
 		}
-		seen[off] = true
 		inf.beginParam()
 		if inf.lang == LangVyper {
 			inf.hit(R25)
@@ -634,14 +779,12 @@ func (inf *inference) basicClaims(claims []claim) []claim {
 		// Match the loaded value by its offset's *descriptor*, not by
 		// string identity: loads reached through folded-constant address
 		// arithmetic (e.g. base + 32*0) name the same slot.
-		slot := off
 		typ := inf.refineBasic(inf.profileFor(func(a *Expr) bool {
 			d, ok2 := inf.descOf(a.Args[0])
-			return ok2 && len(d.terms) == 0 && d.c == slot
+			return ok2 && len(d.terms) == 0 && d.c == off
 		}))
-		out = append(out, claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
+		inf.claims = append(inf.claims, claim{off: off, size: 32, typ: typ, rules: inf.takeRules()})
 	}
-	return out
 }
 
 // profileFor builds the operation profile of all values whose CData atoms

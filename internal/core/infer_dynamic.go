@@ -31,6 +31,17 @@ type bodyView struct {
 	// children are dereferenced inner values: slotDelta is where their
 	// offset field lives relative to the body start.
 	children []childRef
+	// fields is classifyStruct's buffer for the body's members.
+	fields []fieldSlot
+}
+
+// reset empties the view for its next body, clearing what the last one
+// left in its buffers.
+func (v *bodyView) reset() {
+	clear(v.reads)
+	clear(v.children)
+	clear(v.fields)
+	*v = bodyView{reads: v.reads[:0], children: v.children[:0], fields: v.fields[:0]}
 }
 
 type bodyRead struct {
@@ -55,9 +66,14 @@ type childRef struct {
 	origin    *Event
 }
 
-// viewBody scans the CDL events for reads belonging to the body region.
-func (inf *inference) viewBody(body bodyDesc) *bodyView {
-	v := &bodyView{body: body}
+// viewBody scans the CDL events for reads belonging to the body region,
+// into the view kept for the nesting depth: a view is read only until the
+// body's classification returns, and only deeper bodies are classified
+// meanwhile.
+func (inf *inference) viewBody(body bodyDesc, depth int) *bodyView {
+	v := &inf.views[depth]
+	v.reset()
+	v.body = body
 	for _, ev := range inf.cdls {
 		d, ok := inf.descOf(ev.Off)
 		if !ok || !coversTerms(d, body) || d.c < body.c {
@@ -188,7 +204,7 @@ func (inf *inference) classifyBody(body bodyDesc, depth int) abi.Type {
 	if depth > maxNestingDepth {
 		return abi.Uint(256)
 	}
-	v := inf.viewBody(body)
+	v := inf.viewBody(body, depth)
 	if v.num != nil && depth == 0 {
 		inf.hit(R1)
 	}
@@ -262,10 +278,9 @@ func (inf *inference) classifyCopied(v *bodyView) (abi.Type, bool) {
 				// Row copies of a multi-dimensional dynamic array.
 				inf.hit(R5)
 				inf.hit(R10)
-				constDims, _ := guardDims(ev)
-				dims := append(constDims, ln/32)
+				inf.dims = append(inf.guardDims(ev), ln/32)
 				elem := inf.refineBasic(contentProfile())
-				return abi.SliceOf(buildStaticArray(dims, elem)), true
+				return buildArray(true, inf.dims, elem), true
 			}
 		}
 	}
@@ -291,35 +306,29 @@ func hasRoundUpDiv(e *Expr) bool {
 // arrays (R2) and bytes/string (R17 and its negation).
 func (inf *inference) classifySequence(v *bodyView, depth int) abi.Type {
 	// Collect item reads: direct reads past the num field, grouped by pc.
-	type pcGroup struct {
-		pc     uint64
-		deltas []uint64
-	}
-	var groups []pcGroup
+	groups := inf.items[:0]
 	for _, r := range v.reads {
 		if r.delta < 32 {
 			continue
 		}
-		i := slices.IndexFunc(groups, func(g pcGroup) bool { return g.pc == r.ev.PC })
+		i := slices.IndexFunc(groups, func(g itemGroup) bool { return g.pc == r.ev.PC })
 		if i < 0 {
 			i = len(groups)
-			groups = append(groups, pcGroup{pc: r.ev.PC})
+			groups = append(groups, itemGroup{pc: r.ev.PC})
 		}
-		groups[i].deltas = append(groups[i].deltas, r.delta)
+		groups[i].add(r.delta)
 	}
+	inf.items = groups
 	if len(groups) == 0 {
 		// Length checked but content untouched: no element clues. The
 		// paper's tie-break for an opaque length-prefixed value is string.
 		return abi.String_()
 	}
-	for _, g := range groups {
-		slices.Sort(g.deltas)
-	}
-	slices.SortFunc(groups, func(a, b pcGroup) int { return cmp.Compare(a.deltas[0], b.deltas[0]) })
+	slices.SortFunc(groups, func(a, b itemGroup) int { return cmp.Compare(a.lo, b.lo) })
 	g := groups[0]
 	stride := uint64(0)
-	if len(g.deltas) >= 2 {
-		stride = g.deltas[1] - g.deltas[0]
+	if g.n >= 2 {
+		stride = g.next - g.lo
 	}
 	contentProfile := inf.profileFor(func(a *Expr) bool {
 		d, ok := inf.descOf(a.Args[0])
@@ -343,10 +352,31 @@ func (inf *inference) classifySequence(v *bodyView, depth int) abi.Type {
 	}
 	// 32-byte stride: a dynamic array; inner static dimensions come from the
 	// constant bound checks on the item read.
-	constDims, _ := guardDims(v.direct(g.deltas[0]))
+	constDims := inf.guardDims(v.direct(g.lo))
 	inf.hit(R2)
 	elem := inf.refineBasic(contentProfile)
-	return abi.SliceOf(buildStaticArray(constDims, elem))
+	return buildArray(true, constDims, elem)
+}
+
+// itemGroup is one pc's item reads of a length-prefixed value: how many,
+// and the lowest two of their deltas (equal when a delta repeats).
+type itemGroup struct {
+	pc       uint64
+	n        int
+	lo, next uint64
+}
+
+// add counts one more read at delta.
+func (g *itemGroup) add(delta uint64) {
+	switch {
+	case g.n == 0:
+		g.lo = delta
+	case delta < g.lo:
+		g.lo, g.next = delta, g.lo
+	case g.n == 1 || delta < g.next:
+		g.next = delta
+	}
+	g.n++
 }
 
 // classifyNested handles bodies with dereferenced inner values: nested
@@ -371,15 +401,15 @@ func (inf *inference) classifyNested(v *bodyView, depth int) abi.Type {
 	// struct with dynamic members (straight-line member code).
 	onePC := !slices.ContainsFunc(v.children, func(c childRef) bool { return c.pc != first.pc })
 	if onePC {
-		constDims, _ := guardDims(first.origin)
-		if len(constDims) >= 1 {
+		if constDims := inf.guardDims(first.origin); len(constDims) >= 1 {
+			n := int(constDims[len(constDims)-1]) // read before the buffer is reused
 			childBody := bodyDesc{
 				c:     v.body.c,
 				terms: inf.withTerm(v.body.terms, first.atom),
 			}
 			inf.hit(R22)
 			elem := inf.classifyBody(childBody, depth+1)
-			return abi.ArrayOf(elem, int(constDims[len(constDims)-1]))
+			return abi.ArrayOf(elem, n)
 		}
 	}
 	return inf.classifyStruct(v, depth)
@@ -389,11 +419,7 @@ func (inf *inference) classifyNested(v *bodyView, depth int) abi.Type {
 // children (R21, with R19 for nested-array members): the dynamic members
 // first, then the static ones, each in offset order.
 func (inf *inference) classifyStruct(v *bodyView, depth int) abi.Type {
-	type fieldSlot struct {
-		delta uint64
-		typ   abi.Type
-	}
-	var fields []fieldSlot
+	fields := v.fields
 	// Dynamic members. Children are sorted by slot; of several at one slot
 	// the last one found holds it.
 	isChild := func(delta uint64) bool {
@@ -421,6 +447,7 @@ func (inf *inference) classifyStruct(v *bodyView, depth int) abi.Type {
 		}
 		fields = append(fields, fieldSlot{delta: r.delta})
 	}
+	v.fields = fields
 	slices.SortFunc(fields[statics:], func(a, b fieldSlot) int { return cmp.Compare(a.delta, b.delta) })
 	for i := statics; i < len(fields); i++ {
 		val := v.direct(fields[i].delta).Val
@@ -435,7 +462,14 @@ func (inf *inference) classifyStruct(v *bodyView, depth int) abi.Type {
 		out[i] = f.typ
 	}
 	inf.hit(R21)
-	return abi.TupleOf(out...)
+	return abi.Type{Kind: abi.KindTuple, Fields: out}
+}
+
+// fieldSlot is one struct member: its slot relative to the body start and
+// its type.
+type fieldSlot struct {
+	delta uint64
+	typ   abi.Type
 }
 
 // isNestedArray reports a multi-dimensional array with a dynamic inner

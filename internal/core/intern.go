@@ -27,7 +27,8 @@ import (
 //     fixed-size arrays, whatever the trace's size.
 //   - The event buffer and the dedup set ride along in the pooled struct, up
 //     to maxPooledEvents; a larger trace's buffer and set are dropped, so an
-//     adversarial trace cannot pin its event slice in the pool.
+//     adversarial trace cannot pin its event slice in the pool. reset
+//     empties the set by visiting the trace's own events (clearSeen).
 //   - The node table rides along too, up to maxPooledTable slots. recycle
 //     empties it by visiting the trace's own nodes (clearTable), so a small
 //     trace after a large one pays for its own nodes, not for the table's
@@ -35,8 +36,8 @@ import (
 //
 // Only the recovery pipeline recycles, and only once nothing can reach the
 // trace (see recycle). Traces handed to callers (TraceFunction) keep their
-// interner, less its node table (see release), so a caller may hold their
-// events and nodes for as long as it likes.
+// interner, less its node table and dedup set (see release), so a caller
+// may hold their events and nodes for as long as it likes.
 type interner struct {
 	// table is the open-addressed node table (linear probing, power-of-two
 	// length, nil slots empty). It holds the KindApp, KindCData and
@@ -56,10 +57,13 @@ type interner struct {
 	hits, misses uint64
 
 	// events and seen are the trace's event buffer and dedup set (see
-	// tase.record). They survive recycle up to maxPooledEvents, so the
-	// next trace appends into the same memory.
+	// record). seen is open-addressed like table, over event indexes:
+	// slot value i+1 stands for events[i], 0 is empty, and a probe
+	// compares the candidate event's own key (eventKey). It holds one
+	// entry per event and doubles past 3/4 load. Both survive recycle up
+	// to maxPooledEvents, so the next trace appends into the same memory.
 	events []Event
-	seen   map[eventID]bool
+	seen   []int32
 
 	// Slabs back the canonical nodes: every install carves its Expr, its
 	// concrete Word, and its Args array out of chunked arrays instead of
@@ -102,6 +106,7 @@ const (
 	numSmallConst = 256
 	// minNodeTable is the node table's first size in slots (256 B): it
 	// holds the table nodes of most one-function traces without a resize.
+	// The dedup set starts at the same size (128 B).
 	minNodeTable = 32
 	// hashMul is the 64-bit golden-ratio multiplier; the table indexes by
 	// the top bits of the product, which depend on every input bit.
@@ -226,22 +231,78 @@ func (it *interner) pushCopy(next *copyNode, dst uint64, src, ln *Expr) *copyNod
 	return n
 }
 
-// newInterner takes an interner from the pool. Its node table is the
-// pooled one, emptied, or is allocated on the first install.
+// newInterner takes an interner from the pool. Its node table and dedup
+// set are the pooled ones, emptied, or are allocated on first use.
 func newInterner() *interner {
-	it := internerPool.Get().(*interner)
-	if it.seen == nil {
-		it.seen = make(map[eventID]bool)
-	}
-	return it
+	return internerPool.Get().(*interner)
 }
 
-// release drops the node table of a trace that will not be recycled
-// (TraceFunction hands it to the caller), so a held trace does not hold
-// its lookup structure. The canonical nodes themselves live on in the
-// recorded events.
+// release drops the node table and the dedup set of a trace that will not
+// be recycled (TraceFunction hands it to the caller), so a held trace does
+// not hold its lookup structures. The canonical nodes themselves live on
+// in the recorded events.
 func (it *interner) release() {
-	it.table, it.used = nil, 0
+	it.table, it.used, it.seen = nil, 0, nil
+}
+
+// record deduplicates and stores an event.
+func (it *interner) record(ev Event) {
+	if it.seen == nil {
+		it.seen = make([]int32, minNodeTable)
+	}
+	key := eventKey(&ev)
+	mask := len(it.seen) - 1
+	i := homeSlot(eventHash(key), mask)
+	for ; it.seen[i] != 0; i = (i + 1) & mask {
+		if eventKey(&it.events[it.seen[i]-1]) == key {
+			return
+		}
+	}
+	it.events = append(it.events, ev)
+	it.seen[i] = int32(len(it.events))
+	if len(it.events)*4 > len(it.seen)*3 {
+		it.growSeen()
+	}
+}
+
+// growSeen doubles the dedup set and re-adds the events in order, so every
+// event's probe path crosses only events older than it (see clearSeen).
+func (it *interner) growSeen() {
+	it.seen = make([]int32, 2*len(it.seen))
+	mask := len(it.seen) - 1
+	for k := range it.events {
+		i := homeSlot(eventHash(eventKey(&it.events[k])), mask)
+		for it.seen[i] != 0 {
+			i = (i + 1) & mask
+		}
+		it.seen[i] = int32(k + 1)
+	}
+}
+
+// clearSeen empties the dedup set by visiting the trace's events, newest
+// first, instead of the set's slots: each is found from its home slot by
+// scanning the path it was added along, which holds only older events
+// still in place (the scan gives up after one lap on an event that never
+// went through record).
+func (it *interner) clearSeen() {
+	if len(it.seen) == 0 {
+		return
+	}
+	mask, left := len(it.seen)-1, len(it.events)
+	for k := len(it.events) - 1; k >= 0; k-- {
+		want := int32(k + 1)
+		j := homeSlot(eventHash(eventKey(&it.events[k])), mask)
+		for n := 0; n < mask && it.seen[j] != want; n++ {
+			j = (j + 1) & mask
+		}
+		if it.seen[j] == want {
+			it.seen[j] = 0
+			left--
+		}
+	}
+	if left != 0 { // not reached from the trace's events: never pool it full
+		clear(it.seen)
+	}
 }
 
 // clearTable empties the node table for the next trace, or drops it past
@@ -291,13 +352,15 @@ func (it *interner) recycle() {
 	if it == nil {
 		return
 	}
+	// The table and the dedup set are emptied by reading the trace's nodes,
+	// so before the slabs holding them are zeroed.
 	it.clearTable()
+	it.reset()
 	it.exprs.recycle(exprChunkPool, true)
 	it.words.recycle(wordChunkPool, false)
 	it.args.recycle(argChunkPool, true)
 	it.guards.recycle(guardChunkPool, true)
 	it.copies.recycle(copyChunkPool, true)
-	it.reset()
 	internerPool.Put(it)
 }
 
@@ -305,15 +368,15 @@ func (it *interner) recycle() {
 // and dedup set (emptied) only when the trace stayed within
 // maxPooledEvents, and the node table emptied by clearTable. It assigns
 // field by field: clearTable has already nilled smallConst and recycle
-// emptied the slabs, and zeroing the whole 2 KiB struct would store
+// empties the slabs, and zeroing the whole 2 KiB struct would store
 // through the write barrier again.
 func (it *interner) reset() {
-	if cap(it.events) > maxPooledEvents { // seen holds one entry per event
+	if cap(it.events) > maxPooledEvents { // seen is sized to the events
 		it.events, it.seen = nil, nil
 	} else {
+		it.clearSeen()   // reads the events' keys, so before they are cleared
 		clear(it.events) // drop node references so the pool pins no trace
 		it.events = it.events[:0]
-		clear(it.seen)
 	}
 	it.nextID, it.envSeq, it.hits, it.misses = 0, 0, 0, 0
 }
@@ -337,6 +400,15 @@ func wordHash(w evm.Word) uint64 {
 	return h * hashMul
 }
 
+// eventHash hashes an event's dedup key.
+func eventHash(k eventID) uint64 {
+	h := uint64(k.kind)<<8 | uint64(k.op)
+	for _, x := range [...]uint64{k.pc, k.dst, uint64(k.a0), uint64(k.a1), uint64(k.a2)} {
+		h = h*hashMul + x
+	}
+	return h * hashMul
+}
+
 // nodeHash recomputes the hash a table node was installed under.
 func nodeHash(e *Expr) uint64 {
 	if e.Kind == KindConst {
@@ -354,7 +426,13 @@ func (it *interner) home(h uint64) (int, int) {
 		it.table = make([]*Expr, minNodeTable)
 	}
 	mask := len(it.table) - 1
-	return int(h >> (64 - bits.Len(uint(mask)))), mask
+	return homeSlot(h, mask), mask
+}
+
+// homeSlot returns h's home slot in a power-of-two table with index mask
+// mask: the top bits of h.
+func homeSlot(h uint64, mask int) int {
+	return int(h >> (64 - bits.Len(uint(mask))))
 }
 
 // install puts a new node into the empty slot i its lookup ended on, and

@@ -152,13 +152,13 @@ func reportRecovery(ctx context.Context, ev *eventlog.Event, rules *RuleStats, l
 // and into the aggregate counters. It runs on the recovery's goroutine, in
 // selector order, so ev's first-wins TruncCause is the same at every
 // fan-out width.
-func finishTASE(t *tase, ev *eventlog.Event) {
+func finishTASE(t *taseCounts, ev *eventlog.Event) {
 	ev.Paths += int64(t.paths)
 	ev.Steps += int64(t.totSteps)
 	ev.Pruned += int64(t.pruned)
 	ev.AddIntern(t.internHits, t.internMisses)
-	if t.trunc && ev.TruncCause == "" {
-		ev.TruncCause = t.truncationCause()
+	if ev.TruncCause == "" {
+		ev.TruncCause = t.cause
 	}
 	meterTASE(t)
 }
@@ -166,7 +166,7 @@ func finishTASE(t *tase, ev *eventlog.Event) {
 // meterTASE flushes one finished exploration's counters into the pipeline
 // telemetry. Per-trace counts are accumulated locally during exploration
 // and flushed here in one shot, so the hot loop never touches an atomic.
-func meterTASE(t *tase) {
+func meterTASE(t *taseCounts) {
 	mPathsExplored.Add(uint64(t.paths))
 	mPathsPruned.Add(uint64(t.pruned))
 	mTASESteps.Add(uint64(t.totSteps))

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -102,6 +105,53 @@ func TestHeldTracesSurviveRecycling(t *testing.T) {
 	}
 }
 
+// TestHeldResultsSurviveRecycling: nothing a recovery returns aliases
+// pooled memory. Every Result of dataset 2 (seed 1), recovered at fan-out
+// widths 1 and 2, each way directly and through one shared Cache (whose
+// hits hand out the stored Result itself), is held; 20 contracts of seed 2
+// are then recovered the same ways, reusing every inference scratch,
+// interner, slab chunk and disassembly the held recoveries used. Each held
+// Result must still render as it did when it was returned.
+func TestHeldResultsSurviveRecycling(t *testing.T) {
+	held, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := corpus.GenerateSynthesized(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(256)
+	ways := []Options{{workers: 1}, {workers: 2}, {workers: 1, Cache: cache}, {workers: 2, Cache: cache}}
+	type heldResult struct {
+		res  Result
+		err  error
+		want string
+	}
+	var results []heldResult
+	ctx := context.Background()
+	for _, code := range distinctCodes(held) {
+		for _, opts := range ways {
+			res, err := RecoverContext(ctx, code, opts)
+			results = append(results, heldResult{res, err, renderResult(res, err)})
+		}
+	}
+	for _, code := range distinctCodes(other)[:20] {
+		for _, opts := range ways {
+			if _, err := RecoverContext(ctx, code, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, h := range results {
+		if got := renderResult(h.res, h.err); got != h.want {
+			way := ways[i%len(ways)]
+			t.Fatalf("held result of contract %d (width %d, cached %v) changed while recoveries ran:\n%s",
+				i/len(ways), way.workers, way.Cache != nil, lineDiff(h.want, got, 5))
+		}
+	}
+}
+
 // TestPoolsDropOverCapBuffers: a recycled interner keeps its event buffer
 // and dedup set, emptied and with no node left reachable, only while the
 // trace stayed within maxPooledEvents, and its node table only up to
@@ -110,12 +160,16 @@ func TestHeldTracesSurviveRecycling(t *testing.T) {
 // back to its pool only while its buffers fit maxPooledProgramBytes. An
 // adversarial trace or a large contract must not pin its memory in a pool.
 func TestPoolsDropOverCapBuffers(t *testing.T) {
+	node := &Expr{Kind: KindConst}
 	fill := func(n int) *interner {
-		it := &interner{seen: make(map[eventID]bool)}
-		node := &Expr{Kind: KindConst}
+		it := new(interner)
 		for i := 0; i < n; i++ {
-			it.events = append(it.events, Event{Kind: EvCDL, PC: uint64(i), Off: node, Val: node})
-			it.seen[eventID{kind: EvCDL, pc: uint64(i)}] = true
+			ev := Event{Kind: EvCDL, PC: uint64(i), Off: node, Val: node}
+			it.record(ev)
+			it.record(ev) // a duplicate: dropped
+		}
+		if len(it.events) != n {
+			t.Fatalf("recorded %d distinct events twice each, the buffer holds %d", n, len(it.events))
 		}
 		return it
 	}
@@ -125,13 +179,17 @@ func TestPoolsDropOverCapBuffers(t *testing.T) {
 	if small.events == nil || small.seen == nil {
 		t.Fatalf("a %d-event trace's buffer (cap %d) was dropped", maxPooledEvents/2, cap(small.events))
 	}
-	if len(small.events) != 0 || len(small.seen) != 0 {
-		t.Fatalf("kept buffer not emptied: %d events, %d dedup keys", len(small.events), len(small.seen))
+	if i := slices.IndexFunc(small.seen, func(s int32) bool { return s != 0 }); len(small.events) != 0 || i >= 0 {
+		t.Fatalf("kept buffer not emptied: %d events, dedup slot %d still set", len(small.events), i)
 	}
 	for i, ev := range small.events[:cap(small.events)] {
 		if ev.Off != nil || ev.Val != nil {
 			t.Fatalf("kept buffer slot %d still points at a node", i)
 		}
+	}
+	small.record(Event{Kind: EvCDL, PC: 1, Off: node, Val: node})
+	if len(small.events) != 1 {
+		t.Fatalf("the emptied dedup set still holds a recycled event")
 	}
 
 	big := fill(maxPooledEvents + 1)
@@ -215,6 +273,37 @@ func TestPoolsDropOverCapBuffers(t *testing.T) {
 		t.Fatalf("a pooled state's buffers were not emptied")
 	}
 
+	// Inference scratch: one that grew past maxPooledInferBytes is dropped,
+	// here over a synthetic trace of 8,192 nodes; one within it goes back
+	// with every buffer emptied, here over a sample of dataset 2.
+	chain := new(interner)
+	x := chain.cdata(chain.constUint(4))
+	for i := 0; i < 4*maxPooledTable; i++ {
+		x = chain.app(evm.ADD, x, chain.constUint(uint64(numSmallConst+i)))
+	}
+	chain.record(Event{Kind: EvCDL, PC: 1, Off: x, Val: chain.cdata(x)})
+	over := new(inference)
+	over.infer(Trace{Events: chain.events, it: chain})
+	if over.release() {
+		t.Fatalf("the scratch of a %d-node trace (%d B) was pooled", chain.nextID, over.bytes())
+	}
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(synth); i += 10 {
+		e := synth[i]
+		inf := new(inference)
+		inf.infer(TraceFunction(evm.Disassemble(e.Code), e.Sig.Selector()))
+		used := inf.bytes()
+		if !inf.release() {
+			t.Fatalf("%s: a %d B scratch was dropped", e.Sig, used)
+		}
+		if d := dirtyScratch(reflect.ValueOf(inf).Elem(), "inference"); d != "" {
+			t.Fatalf("%s: a pooled scratch is not empty: %s", e.Sig, d)
+		}
+	}
+
 	smallCode := make([]byte, 1024)
 	bigCode := make([]byte, 24*1024) // an EIP-170-sized contract
 	for i := range bigCode {
@@ -227,4 +316,97 @@ func TestPoolsDropOverCapBuffers(t *testing.T) {
 	if releaseProgram(p) {
 		t.Fatalf("a 24 KB contract's disassembly (%d B of buffers) was pooled", p.Bytes())
 	}
+}
+
+// dirtyScratch names the first part of a released inference scratch that
+// is not empty: a field that is not zero, a buffer with a length, or a
+// buffer slot up to its capacity that is not zero. The buffers named in
+// plainBuffers hold plain values written before they are read, so only
+// their lengths count.
+func dirtyScratch(v reflect.Value, name string) string {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if d := dirtyScratch(v.Field(i), name+"."+v.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if d := dirtyScratch(v.Index(i), fmt.Sprintf("%s[%d]", name, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if v.Len() != 0 {
+			return fmt.Sprintf("%s has length %d", name, v.Len())
+		}
+		if plainBuffers[name[strings.LastIndexByte(name, '.')+1:]] {
+			return ""
+		}
+		full := v.Slice(0, v.Cap())
+		for i := 0; i < full.Len(); i++ {
+			if !full.Index(i).IsZero() {
+				return fmt.Sprintf("%s[%d] (past its length) is not zero", name, i)
+			}
+		}
+	default:
+		if !v.IsZero() {
+			return name + " is not zero"
+		}
+	}
+	return ""
+}
+
+var plainBuffers = map[string]bool{"trail": true, "items": true, "dims": true}
+
+// TestInferAllocsFlat: inference takes its scratch from a pool, so once
+// warm, inferRecycled over a trace allocates its output only: the type
+// list, the trail index and one array of rule ids, plus the element types
+// of array, slice and tuple parameters. Over every function of dataset 2
+// (seed 1) that is at most inferAllocsFixed plus one per recovered
+// parameter; a scratch built afresh on every call made 9 to 53. The
+// collector stays off while it counts: a collection empties every
+// sync.Pool, and the first Put after one allocates the pool's per-P
+// storage again. The race detector's sync.Pool drops a random share of
+// what is put back, so a -race build checks the outputs only: each must
+// match inference over an unrecycled trace.
+func TestInferAllocsFlat(t *testing.T) {
+	const inferAllocsFixed = 3
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(d Inferred) string {
+		return fmt.Sprintf("%v %v %v %v", d.Types, d.ParamRules, d.Language, d.Stats)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var worst uint64
+	for _, e := range synth {
+		program := evm.Disassemble(e.Code)
+		sel := e.Sig.Selector()
+		var out Inferred
+		infer := func() uint64 {
+			tr, _ := traceFunctionEngine(program, sel, defaultLimits())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out = inferRecycled(tr)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		infer()
+		infer()
+		got := infer()
+		if want := render(Infer(TraceFunction(program, sel))); render(out) != want {
+			t.Fatalf("%s: recycled inference gives %s, an unrecycled trace %s", e.Sig, render(out), want)
+		}
+		if excess := got - min(got, uint64(len(out.Types))); excess > worst {
+			worst = excess
+		}
+		if ceiling := inferAllocsFixed + uint64(len(out.Types)); got > ceiling && !raceEnabled {
+			t.Errorf("%s: %d allocs for %d parameters, above the ceiling of %d", e.Sig, got, len(out.Types), ceiling)
+		}
+	}
+	t.Logf("at most %d allocs past one per parameter", worst)
 }

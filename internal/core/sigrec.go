@@ -49,7 +49,7 @@ type Options struct {
 	// outside this package leaves it 0, which selects selectorWorkers'
 	// automatic rule; the package's differential tests set it to pin the
 	// inline width (1) and a goroutine width (> 1) on any machine. Both
-	// run the same worker body and merge loop.
+	// run the same worker body and merge.
 	workers int
 }
 
@@ -59,7 +59,7 @@ type Options struct {
 // once, never fewer than one: a single selector or GOMAXPROCS=1 runs the
 // worker body inline on the caller's goroutine. Results, rule-fire
 // counter deltas, span trees and wide events are identical at every width
-// — one merge loop folds the outcomes in selector order
+// — one merge folds the outcomes in selector order
 // (TestParallelDifferential enforces it).
 func (o Options) selectorWorkers(n int) int {
 	w := o.workers
@@ -210,9 +210,9 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 
 	ssp := rec.SpanAt("dispatch", now)
 	t := newTASE(program, nil, lim) // selWord nil: the selector stays symbolic
-	selectors := extractSelectors(t)
-	annotateTASE(ssp, t, "")
-	finishTASE(t, ev)
+	selectors := extractSelectors(&t)
+	annotateTASE(ssp, &t.taseCounts, "")
+	finishTASE(&t.taseCounts, ev)
 	t2 := time.Now()
 	if ssp != nil {
 		ssp.SetInt("selectors", int64(len(selectors)))
@@ -224,6 +224,7 @@ func recoverUncached(ctx context.Context, code []byte, opts Options, ev *eventlo
 	if len(selectors) == 0 {
 		return res, ErrNoFunctions
 	}
+	res.Functions = make([]RecoveredFunction, len(selectors))
 	recoverSelectors(&res, program, selectors, lim, opts.selectorWorkers(len(selectors)), rec, ev)
 	return res, nil
 }
@@ -260,76 +261,62 @@ func releaseProgram(p *Program) bool {
 	return true
 }
 
-// selOutcome carries one selector's explore+infer output from the worker
-// body to the merge loop, including the raw timestamps needed to build the
-// explore/infer span pair post-hoc with real start/end times.
+// selOutcome carries what the merge needs of one selector's explore+infer
+// from the worker body: the exploration's counters, the inference's sizes
+// for the infer span, and the raw timestamps needed to build the
+// explore/infer span pair post-hoc with real start/end times. The
+// recovered function and the rule totals go straight to the Result.
 type selOutcome struct {
-	t              *tase
-	inf            Inferred
-	exploreStartUS int64
-	exploreEndUS   int64
-	inferEndUS     int64
-	exploreD       time.Duration
-	inferD         time.Duration
+	counts           taseCounts
+	params, ruleHits int
+	exploreStartUS   int64
+	exploreEndUS     int64
+	inferEndUS       int64
+	exploreD         time.Duration
+	inferD           time.Duration
 }
 
 // exploreInfer is the per-selector worker body: explore, then infer over
-// the trace and recycle its slabs. It touches only goroutine-confined
+// the trace and recycle its slabs, writing the recovered function to fn
+// and adding its rule usage to rules. It touches only goroutine-confined
 // state (the TASE engine, its interner, the inference pass over its own
-// trace) or concurrency-safe state (telemetry atomics, the sync.Pools,
-// obs.Recovery.NowUS).
-func exploreInfer(program *Program, sel [4]byte, lim limits, rec *obs.Recovery) (o selOutcome) {
+// trace, fn and rules) or concurrency-safe state (telemetry atomics, the
+// sync.Pools, obs.Recovery.NowUS).
+func exploreInfer(program *Program, sel [4]byte, lim limits, rec *obs.Recovery, fn *RecoveredFunction, rules *RuleStats) (o selOutcome) {
 	o.exploreStartUS = rec.NowUS()
 	p0 := time.Now()
-	tr, t := traceFunctionEngine(program, sel, lim)
+	tr, counts := traceFunctionEngine(program, sel, lim)
 	p1 := time.Now()
 	o.exploreEndUS = rec.NowUS()
-	o.t, o.inf = t, inferRecycled(tr)
+	d := inferRecycled(tr)
 	p2 := time.Now()
 	o.inferEndUS = rec.NowUS()
-	o.exploreD, o.inferD = p1.Sub(p0), p2.Sub(p1)
+	o.counts, o.exploreD, o.inferD = counts, p1.Sub(p0), p2.Sub(p1)
+	o.params, o.ruleHits = len(d.Types), int(d.Stats.Total())
+	*fn = RecoveredFunction{
+		Selector:   abi.Selector(sel),
+		Inputs:     d.Types,
+		ParamRules: d.ParamRules,
+		Language:   d.Language,
+		Truncated:  counts.trunc,
+	}
+	rules.Add(d.Stats)
 	return o
 }
 
-// recoverSelectors explores and infers every selector, then merges the
-// outcomes in selector order. With one worker the worker body runs inline
-// on the caller's goroutine; with more, that many goroutines pull
-// selectors off a shared counter. Everything order-sensitive — span
-// construction, finishTASE's wide-event accumulation and its first-wins
-// TruncCause, the Functions append, RuleStats totals — happens in the one
-// merge loop, so the output is the same at every width
-// (TestParallelDifferential enforces it).
+// recoverSelectors explores and infers every selector into res.Functions,
+// one slot per selector, merging each outcome in selector order. With one
+// worker the worker body runs inline on the caller's goroutine and each
+// outcome is merged as it comes; with more, that many goroutines pull
+// selectors off a shared counter, and the outcomes are merged once all are
+// in. Everything order-sensitive (span construction, finishTASE's
+// wide-event accumulation and its first-wins TruncCause) happens in the
+// one merge, so the output is the same at every width
+// (TestParallelDifferential enforces it); rule totals are sums, folded in
+// any order.
 func recoverSelectors(res *Result, program *Program, selectors [][4]byte, lim limits, workers int, rec *obs.Recovery, ev *eventlog.Event) {
-	// A one-selector contract, the common case, keeps its outcome on the
-	// stack; the goroutines write to a separate slice so that it can.
-	var one [1]selOutcome
-	outs := one[:]
-	if workers > 1 {
-		shared := make([]selOutcome, len(selectors))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(selectors); i = int(next.Add(1)) - 1 {
-					shared[i] = exploreInfer(program, selectors[i], lim, rec)
-				}
-			}()
-		}
-		wg.Wait()
-		outs = shared
-	} else {
-		if len(selectors) > 1 {
-			outs = make([]selOutcome, len(selectors))
-		}
-		for i, sel := range selectors {
-			outs[i] = exploreInfer(program, sel, lim, rec)
-		}
-	}
 	var exploreD, inferD time.Duration
-	for i := range outs {
-		o := &outs[i]
+	merge := func(i int, o *selOutcome) {
 		var selHex string
 		if rec != nil {
 			selHex = hexSelector(selectors[i])
@@ -337,28 +324,54 @@ func recoverSelectors(res *Result, program *Program, selectors [][4]byte, lim li
 		// Explore and infer are sibling spans per selector, tied together
 		// by the selector attribute (one hex string shared by both).
 		esp := rec.SpanAt("explore", o.exploreStartUS)
-		annotateTASE(esp, o.t, selHex)
+		annotateTASE(esp, &o.counts, selHex)
 		esp.EndAt(o.exploreEndUS)
 		if isp := rec.SpanAt("infer", o.exploreEndUS); isp != nil {
 			isp.SetAttrs(
 				obs.Attr{Key: "selector", Str: selHex},
-				obs.Attr{Key: "params", Num: int64(len(o.inf.Types))},
-				obs.Attr{Key: "rule_hits", Num: int64(o.inf.Stats.Total())},
+				obs.Attr{Key: "params", Num: int64(o.params)},
+				obs.Attr{Key: "rule_hits", Num: int64(o.ruleHits)},
 			)
 			isp.EndAt(o.inferEndUS)
 		}
-		finishTASE(o.t, ev)
+		finishTASE(&o.counts, ev)
 		exploreD += o.exploreD
 		inferD += o.inferD
-		res.Rules.Add(o.inf.Stats)
-		res.Functions = append(res.Functions, RecoveredFunction{
-			Selector:   abi.Selector(selectors[i]),
-			Inputs:     o.inf.Types,
-			ParamRules: o.inf.ParamRules,
-			Language:   o.inf.Language,
-			Truncated:  o.t.trunc,
-		})
-		res.Truncated = res.Truncated || o.t.trunc
+		res.Truncated = res.Truncated || o.counts.trunc
+	}
+	if workers > 1 {
+		// The goroutines reach no part of res but its Functions array, so
+		// res itself can stay on the caller's stack.
+		fns, outs := res.Functions, make([]selOutcome, len(selectors))
+		var (
+			next  atomic.Int64
+			mu    sync.Mutex
+			rules RuleStats // the workers' rule totals, guarded by mu
+			wg    sync.WaitGroup
+		)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				var own RuleStats
+				for i := int(next.Add(1)) - 1; i < len(selectors); i = int(next.Add(1)) - 1 {
+					outs[i] = exploreInfer(program, selectors[i], lim, rec, &fns[i], &own)
+				}
+				mu.Lock()
+				rules.Add(own)
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		res.Rules.Add(rules)
+		for i := range outs {
+			merge(i, &outs[i])
+		}
+	} else {
+		for i, sel := range selectors {
+			o := exploreInfer(program, sel, lim, rec, &res.Functions[i], &res.Rules)
+			merge(i, &o)
+		}
 	}
 	ev.ExploreUS, ev.InferUS = exploreD.Microseconds(), inferD.Microseconds()
 }
@@ -367,7 +380,7 @@ func recoverSelectors(res *Result, program *Program, selectors [][4]byte, lim li
 // returning the trace's slab chunks to their pools. Inferred holds types
 // and rule ids, never nodes, so once inference is done nothing reaches
 // them; the engine counters that span annotation and finishTASE read
-// later live outside the slabs. Traces handed to callers (TraceFunction)
+// later are a copy (taseCounts). Traces handed to callers (TraceFunction)
 // never go through here.
 func inferRecycled(tr Trace) Inferred {
 	d := Infer(tr)
@@ -382,8 +395,8 @@ func RecoverFunction(code []byte, selector abi.Selector) (RecoveredFunction, Rul
 	start := time.Now()
 	program := loadProgram(code)
 	defer releaseProgram(program)
-	tr, t := traceFunctionEngine(program, selector, defaultLimits())
-	meterTASE(t)
+	tr, counts := traceFunctionEngine(program, selector, defaultLimits())
+	meterTASE(&counts)
 	d := inferRecycled(tr)
 	mRecoverUS.ObserveDuration(time.Since(start))
 	return RecoveredFunction{

@@ -188,31 +188,45 @@ var statePool = sync.Pool{New: func() any {
 // tase explores the contract from pc 0 with the call data symbolic except
 // for the first 32 bytes, which carry the given selector. The dispatcher
 // then folds concretely and execution reaches exactly the selected
-// function's body.
+// function's body. An engine lives on its caller's stack: what outlives
+// the exploration is the trace (the interner) and a copy of the counters.
 type tase struct {
 	program    *Program
-	selWord    *evm.Word // value returned for CALLDATALOAD(0); nil = symbolic, the dispatcher walk
+	selWord    evm.Word // value returned for CALLDATALOAD(0), unless walk
+	walk       bool     // the dispatcher walk: the selector stays symbolic
 	lim        limits
 	it         *interner // per-trace hash-consing table, event buffer and dedup set
-	paths      int       // states run
+	cancelable bool      // a deadline or cancellation channel is armed
+	expired    bool      // deadline passed or context cancelled
+	taseCounts
+}
+
+// taseCounts are an exploration's counters: what span annotation, the
+// wide event and the telemetry read once it is done (annotateTASE,
+// finishTASE, meterTASE).
+type taseCounts struct {
+	paths      int // states run
 	totSteps   int
 	pruned     int // forks suppressed and worklist states dropped by budgets
 	trunc      bool
-	cancelable bool   // a deadline or cancellation channel is armed
-	expired    bool   // deadline passed or context cancelled
 	cloneBytes uint64 // bytes of stack, memory and visit counters copied at forks
 	stateGets  uint64 // states taken from newState: the paths run and queued
 
-	// Set when run returns, from the interner, which the pipeline may
-	// recycle before the counters are folded (annotateTASE, finishTASE,
-	// meterTASE).
+	// Set when run returns. The interner's counters are copied because the
+	// pipeline may recycle it before the counters are folded.
 	events                   int
 	internHits, internMisses uint64
+	cause                    string // truncationCause
 }
 
-// newTASE builds an exploration engine with a fresh interner.
-func newTASE(program *Program, selWord *evm.Word, lim limits) *tase {
-	return &tase{program: program, selWord: selWord, lim: lim, it: newInterner()}
+// newTASE builds an exploration engine with a fresh interner. A nil
+// selWord leaves the selector symbolic: the dispatcher walk.
+func newTASE(program *Program, selWord *evm.Word, lim limits) tase {
+	t := tase{program: program, lim: lim, it: newInterner(), walk: selWord == nil}
+	if selWord != nil {
+		t.selWord = *selWord
+	}
+	return t
 }
 
 // eventID is the dedup key of an Event: expression identity is the interned
@@ -251,7 +265,7 @@ func (t *tase) truncationCause() string {
 // leads the attributes so per-selector explorations are greppable; the
 // dispatcher walk passes "". The guard keeps attribute formatting entirely
 // off the untraced path.
-func annotateTASE(sp *obs.Span, t *tase, selHex string) {
+func annotateTASE(sp *obs.Span, t *taseCounts, selHex string) {
 	if sp == nil {
 		return
 	}
@@ -267,8 +281,8 @@ func annotateTASE(sp *obs.Span, t *tase, selHex string) {
 	if total := t.internHits + t.internMisses; total > 0 {
 		attrs = append(attrs, obs.Attr{Key: "intern_hit_permille", Num: int64(t.internHits * 1000 / total)})
 	}
-	if cause := t.truncationCause(); cause != "" {
-		attrs = append(attrs, obs.Attr{Key: "truncated", Str: cause})
+	if t.cause != "" {
+		attrs = append(attrs, obs.Attr{Key: "truncated", Str: t.cause})
 	}
 	sp.SetAttrs(attrs...)
 }
@@ -333,6 +347,7 @@ func (t *tase) run() []Event {
 	// The node table and the dedup set stay with the interner, to be
 	// emptied and reused when it is recycled.
 	t.events, t.internHits, t.internMisses = len(t.it.events), t.it.hits, t.it.misses
+	t.cause = t.truncationCause()
 	return t.it.events
 }
 
@@ -402,19 +417,9 @@ func (t *tase) explore(st *state, work []*state) []*state {
 	return work
 }
 
-// record deduplicates and stores an event.
-func (t *tase) record(ev Event) {
-	key := eventKey(ev)
-	if t.it.seen[key] {
-		return
-	}
-	t.it.seen[key] = true
-	t.it.events = append(t.it.events, ev)
-}
-
 // eventKey builds the integer dedup key of an event. Every operand is an
 // interned node, so its id is its structural identity.
-func eventKey(ev Event) eventID {
+func eventKey(ev *Event) eventID {
 	switch ev.Kind {
 	case EvCDL:
 		return eventID{kind: EvCDL, pc: ev.PC, a0: ev.Off.id}
@@ -512,7 +517,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			if cond.Conc != nil {
 				return follow(!cond.Conc.IsZero())
 			}
-			if t.selWord == nil {
+			if t.walk {
 				// Dispatcher walk: a selector test's EQ event is already
 				// recorded, and the function body behind it is left to that
 				// selector's own exploration. Follow the branch to the next
@@ -550,11 +555,11 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 		case evm.CALLDATALOAD:
 			off := pop()
 			var val *Expr
-			if v, ok := off.ConstUint(); ok && v == 0 && t.selWord != nil {
-				val = t.it.constW(*t.selWord)
+			if v, ok := off.ConstUint(); ok && v == 0 && !t.walk {
+				val = t.it.constW(t.selWord)
 			} else {
 				val = t.it.cdata(off)
-				t.record(Event{Kind: EvCDL, PC: ins.PC, Off: off, Val: val, guards: st.guards})
+				t.it.record(Event{Kind: EvCDL, PC: ins.PC, Off: off, Val: val, guards: st.guards})
 			}
 			push(val)
 
@@ -565,7 +570,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			dst, src, ln := pop(), pop(), pop()
 			if dv, ok := dst.ConstUint(); ok {
 				st.copies = t.it.pushCopy(st.copies, dv, src, ln)
-				t.record(Event{Kind: EvCDC, PC: ins.PC, Dst: dv, Src: src, Len: ln, guards: st.guards})
+				t.it.record(Event{Kind: EvCDC, PC: ins.PC, Dst: dv, Src: src, Len: ln, guards: st.guards})
 			}
 
 		case evm.MLOAD:
@@ -656,7 +661,7 @@ func (t *tase) step(st *state, ins *evm.Instruction) (*state, bool) {
 			}
 			e := t.it.appN(op, args)
 			if tainted(args) {
-				t.record(Event{Kind: EvOp, PC: ins.PC, Op: e.Op, Args: e.Args, guards: st.guards})
+				t.it.record(Event{Kind: EvOp, PC: ins.PC, Op: e.Op, Args: e.Args, guards: st.guards})
 			}
 			if op.StackPushes() > 0 {
 				push(e)
@@ -739,25 +744,23 @@ func findCopy(cp *copyNode, addr uint64) *copyNode {
 // exploration budgets. The exploration's counters are reported into the
 // pipeline telemetry.
 func TraceFunction(program *Program, selector [4]byte) Trace {
-	tr, t := traceFunctionEngine(program, selector, defaultLimits())
+	tr, counts := traceFunctionEngine(program, selector, defaultLimits())
 	tr.it.release() // the caller holds the trace; it is never recycled
-	meterTASE(t)
+	meterTASE(&counts)
 	return tr
 }
 
 // traceFunctionEngine runs one per-selector exploration and returns the
-// finished engine alongside the trace, leaving span annotation and counter
-// folding (annotateTASE, finishTASE) to the caller. The recovery pipeline
-// explores on its selector workers and does both in its merge loop, in
-// selector order, so span trees, telemetry and the wide event are the same
-// at every fan-out width.
-func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace, *tase) {
+// finished engine's counters alongside the trace, which owns the
+// interner, leaving span annotation and counter folding (annotateTASE,
+// finishTASE) to the caller. The recovery pipeline explores on its
+// selector workers and does both in its merge, in selector order, so span
+// trees, telemetry and the wide event are the same at every fan-out width.
+func traceFunctionEngine(program *Program, selector [4]byte, lim limits) (Trace, taseCounts) {
 	var b [32]byte
 	copy(b[:], selector[:])
 	selWord := evm.WordFromBytes(b[:])
 	t := newTASE(program, &selWord, lim)
 	events := t.run()
-	tr := Trace{Selector: selector, Events: events, Truncated: t.trunc, it: t.it}
-	t.it = nil // the trace owns the interner now; t keeps only counters
-	return tr, t
+	return Trace{Selector: selector, Events: events, Truncated: t.trunc, it: t.it}, t.taseCounts
 }
