@@ -33,11 +33,14 @@ test:
 # copy-region chains), event buffers and exploration states with their
 # buffers and inference scratch pass between goroutines through
 # sync.Pools, and a chunk recycled while a trace still reaches it, or a
-# result that aliases a pooled buffer, shows up on some schedules only
-# (~40 s).
+# result that aliases a pooled buffer, shows up on some schedules only.
+# So do the coalescing tests: a herd on one bytecode, through
+# RecoverContext and through the scanner's workers, must compute it once
+# on every schedule (~40 s).
 race:
 	$(GO) test -race ./internal/core ./internal/evm ./internal/server ./internal/scan ./internal/daemon
-	$(GO) test -race -count=10 -run '^(TestInternerRecycleConcurrent|TestHeldTracesSurviveRecycling|TestHeldResultsSurviveRecycling|TestPoolsDropOverCapBuffers|TestGuardChains|TestForkCopiesPathState|TestForkAllocsFlat)$$' ./internal/core
+	$(GO) test -race -count=10 -run '^(TestInternerRecycleConcurrent|TestHeldTracesSurviveRecycling|TestHeldResultsSurviveRecycling|TestPoolsDropOverCapBuffers|TestGuardChains|TestForkCopiesPathState|TestForkAllocsFlat|TestRecoverContextCoalesces)$$' ./internal/core
+	$(GO) test -race -count=10 -run '^TestScannerComputesTemplateOnce$$' ./internal/scan
 
 # Re-record the per-signature golden (internal/core/testdata/
 # signatures.golden) and the engine-counter golden (engine_counts.golden)

@@ -507,7 +507,7 @@ func tieredWarmLookup(tb testing.TB) func() {
 	codes := make([][]byte, len(c.Entries))
 	for i, e := range c.Entries {
 		codes[i] = e.Code
-		if _, err := warm.GetOrCompute(e.Code, func() (core.Result, error) {
+		if _, err := warm.GetOrComputeFill(context.Background(), e.Code, nil, func() (core.Result, error) {
 			return core.RecoverContext(context.Background(), e.Code, core.Options{})
 		}); err != nil {
 			tb.Fatal(err)
@@ -520,7 +520,7 @@ func tieredWarmLookup(tb testing.TB) func() {
 	return func() {
 		code := codes[i%len(codes)]
 		i++
-		if _, err := restarted.GetOrCompute(code, func() (core.Result, error) {
+		if _, err := restarted.GetOrComputeFill(context.Background(), code, nil, func() (core.Result, error) {
 			tb.Fatal("warm lookup fell through to compute")
 			return core.Result{}, nil
 		}); err != nil {

@@ -3,123 +3,42 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
-	"sigrec/internal/abi"
 	"sigrec/internal/core"
 	"sigrec/internal/eventlog"
 	"sigrec/internal/keccak"
 	"sigrec/internal/obs"
 	"sigrec/internal/server"
+	"sigrec/internal/store"
 )
 
 // FillPath is the intra-cluster cache-peek endpoint each shard serves.
 // It is deliberately under /internal/: not part of the public API, and a
 // fill can only ever read a peer's cache — never trigger a recovery — so
 // a storm of fills adds no compute load to a struggling owner and cannot
-// recurse (the owner answering a fill consults only its own cache).
-const FillPath = "/internal/v1/fill"
+// recurse (the owner answering a fill consults only its own cache). The
+// version in the path is the wire's: a shard on another fill wire answers
+// 404, which PeerFill treats as a miss.
+const FillPath = "/internal/v2/fill"
 
-// fillFunction is one recovered function on the fill wire. Unlike the
-// public wire schema it keeps the per-parameter rule trails intact, so a
-// filled result is byte-identical to a locally computed one.
-type fillFunction struct {
-	Selector  string     `json:"selector"`
-	Types     string     `json:"types"`
-	Rules     [][]string `json:"rules"`
-	Language  string     `json:"language"`
-	Truncated bool       `json:"truncated,omitempty"`
-}
+// fillOutcomeHeader carries the recovery error of a fill answer, which the
+// body (a store payload) does not: fillOK for nil, fillNoFunctions for
+// core.ErrNoFunctions — the only two a cache can hold. An answer without
+// one of the two is not a fill.
+const (
+	fillOutcomeHeader = "X-Sigrec-Fill-Outcome"
+	fillOK            = "ok"
+	fillNoFunctions   = "no-functions"
+)
 
-// fillPayload is a lossless encoding of a cacheable recovery outcome
-// (cacheable means: not truncated, error nil or ErrNoFunctions — exactly
-// what Cache.Peek can return).
-type fillPayload struct {
-	Functions   []fillFunction `json:"functions"`
-	RuleStats   []uint64       `json:"ruleStats,omitempty"`
-	NoFunctions bool           `json:"noFunctions,omitempty"`
-}
-
-func encodeFill(res core.Result, err error) fillPayload {
-	p := fillPayload{NoFunctions: err != nil}
-	for _, f := range res.Functions {
-		ff := fillFunction{
-			Selector:  f.Selector.Hex(),
-			Types:     f.TypeList(),
-			Language:  f.Language.String(),
-			Truncated: f.Truncated,
-			Rules:     make([][]string, len(f.ParamRules)),
-		}
-		for i, trail := range f.ParamRules {
-			ff.Rules[i] = make([]string, len(trail))
-			for j, r := range trail {
-				ff.Rules[i][j] = r.String()
-			}
-		}
-		p.Functions = append(p.Functions, ff)
-	}
-	for _, n := range res.Rules {
-		if n != 0 {
-			p.RuleStats = res.Rules[:]
-			break
-		}
-	}
-	return p
-}
-
-func decodeFill(p fillPayload) (core.Result, error, error) {
-	var res core.Result
-	for _, ff := range p.Functions {
-		f := core.RecoveredFunction{Truncated: ff.Truncated}
-		sel, err := hex.DecodeString(strings.TrimPrefix(ff.Selector, "0x"))
-		if err != nil || len(sel) != 4 {
-			return core.Result{}, nil, fmt.Errorf("cluster: bad fill selector %q", ff.Selector)
-		}
-		copy(f.Selector[:], sel)
-		// TypeList renders "(t1,t2)"; ParseSignature wants a name in front.
-		sig, err := abi.ParseSignature("f" + ff.Types)
-		if err != nil {
-			return core.Result{}, nil, fmt.Errorf("cluster: bad fill types %q: %w", ff.Types, err)
-		}
-		f.Inputs = sig.Inputs
-		if ff.Language == core.LangVyper.String() {
-			f.Language = core.LangVyper
-		} else {
-			f.Language = core.LangSolidity
-		}
-		f.ParamRules = make([][]core.RuleID, len(ff.Rules))
-		for i, trail := range ff.Rules {
-			f.ParamRules[i] = make([]core.RuleID, len(trail))
-			for j, s := range trail {
-				n, err := strconv.Atoi(strings.TrimPrefix(s, "R"))
-				if err != nil || n < 1 || n > core.NumRules {
-					return core.Result{}, nil, fmt.Errorf("cluster: bad fill rule %q", s)
-				}
-				f.ParamRules[i][j] = core.RuleID(n)
-			}
-		}
-		res.Functions = append(res.Functions, f)
-	}
-	if len(p.RuleStats) == len(res.Rules) {
-		copy(res.Rules[:], p.RuleStats)
-	}
-	var outcome error
-	if p.NoFunctions {
-		outcome = core.ErrNoFunctions
-	}
-	return res, outcome, nil
-}
-
-// FillHandler serves FillPath on a shard: POST hex bytecode, answer 200 +
-// fillPayload when this shard's cache holds the outcome, 404 when it does
-// not. It never computes — see FillPath.
+// FillHandler serves FillPath on a shard: POST hex bytecode, answer 200
+// with the store payload (store.EncodeResult) and fillOutcomeHeader when
+// this shard's cache holds the outcome, 404 when it does not. It never
+// computes — see FillPath.
 func FillHandler(cache *core.Cache, maxBody int64) http.Handler {
 	if maxBody <= 0 {
 		maxBody = server.DefaultMaxBodyBytes
@@ -140,8 +59,18 @@ func FillHandler(cache *core.Cache, maxBody int64) http.Handler {
 			writeJSONError(w, http.StatusNotFound, "not cached")
 			return
 		}
+		body, err := store.EncodeResult(res)
+		if err != nil {
+			writeJSONError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		outcome := fillOK
+		if rerr != nil {
+			outcome = fillNoFunctions
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(encodeFill(res, rerr))
+		w.Header().Set(fillOutcomeHeader, outcome)
+		_, _ = w.Write(body)
 	})
 }
 
@@ -149,7 +78,9 @@ func FillHandler(cache *core.Cache, maxBody int64) http.Handler {
 // if the ring says another shard owns this bytecode, ask that owner's
 // cache (FillPath) and adopt the answer. Owner-is-self, owner-miss, and
 // every failure report !ok, which makes the caller compute locally — the
-// hook is an optimization with no failure mode of its own.
+// hook is an optimization with no failure mode of its own. An answer is
+// decoded by store.DecodeResult, so it is validated as a disk record is;
+// one that fails, or lacks the outcome header, is a failure.
 //
 // The hook runs under the requesting recovery's context: the fill hop is
 // recorded as a client span ("peer.fill") on the recovery's trace, and
@@ -215,12 +146,20 @@ func PeerFill(ring *Ring, self string, peers map[string]string, client *http.Cli
 		if resp.StatusCode != http.StatusOK {
 			return core.Result{}, nil, false
 		}
-		var p fillPayload
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&p); err != nil {
+		var outcome error
+		switch resp.Header.Get(fillOutcomeHeader) {
+		case fillOK:
+		case fillNoFunctions:
+			outcome = core.ErrNoFunctions
+		default:
 			return core.Result{}, nil, false
 		}
-		res, outcome, derr := decodeFill(p)
-		if derr != nil {
+		payload, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		if err != nil {
+			return core.Result{}, nil, false
+		}
+		res, err := store.DecodeResult(payload)
+		if err != nil {
 			return core.Result{}, nil, false
 		}
 		hit = true

@@ -18,6 +18,7 @@ import (
 	"sigrec/internal/core"
 	"sigrec/internal/keccak"
 	"sigrec/internal/server"
+	"sigrec/internal/store"
 	"sigrec/internal/telemetry"
 )
 
@@ -600,22 +601,48 @@ func mustResult(t *testing.T) core.Result {
 	return res
 }
 
+// TestFillPayloadRoundTrip sends a result and the no-functions outcome
+// over the fill wire — FillHandler's store payload and outcome header,
+// PeerFill's decode — and gets both back unchanged.
 func TestFillPayloadRoundTrip(t *testing.T) {
 	want := mustResult(t)
-	got, outcome, err := decodeFill(encodeFill(want, nil))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	code := []byte{0x60, 0x80, 0x60, 0x40}
+	empty := []byte{0x00}
+	ownerCache := core.NewCache(8)
+	for _, seed := range []struct {
+		code []byte
+		res  core.Result
+		err  error
+	}{{code, want, nil}, {empty, core.Result{}, core.ErrNoFunctions}} {
+		if _, err := ownerCache.GetOrComputeFill(context.Background(), seed.code, nil, func() (core.Result, error) {
+			return seed.res, seed.err
+		}); err != seed.err {
+			t.Fatalf("seeding owner: %v", err)
+		}
 	}
-	if outcome != nil {
-		t.Fatalf("outcome = %v, want nil", outcome)
+	owner := httptest.NewServer(FillHandler(ownerCache, 0))
+	defer owner.Close()
+	fill := PeerFill(soleOwnerRing(), "other", map[string]string{"owner": owner.URL}, nil, 0)
+
+	got, outcome, ok := fill(context.Background(), code)
+	if !ok || outcome != nil {
+		t.Fatalf("fill: ok=%v outcome=%v", ok, outcome)
 	}
 	assertResultEqual(t, got, want)
 
 	// The no-functions outcome survives too.
-	_, outcome, err = decodeFill(encodeFill(core.Result{}, core.ErrNoFunctions))
-	if err != nil || outcome != core.ErrNoFunctions {
-		t.Fatalf("no-functions round trip: outcome=%v err=%v", outcome, err)
+	got, outcome, ok = fill(context.Background(), empty)
+	if !ok || outcome != core.ErrNoFunctions || len(got.Functions) != 0 {
+		t.Fatalf("no-functions round trip: ok=%v outcome=%v functions=%d", ok, outcome, len(got.Functions))
 	}
+}
+
+// soleOwnerRing is a one-shard ring: "owner" owns every key, so a fill
+// hook on any other shard always asks it.
+func soleOwnerRing() *Ring {
+	ring := NewRing()
+	ring.Add("owner")
+	return ring
 }
 
 func assertResultEqual(t *testing.T, got, want core.Result) {
@@ -650,9 +677,49 @@ func TestPeerFill(t *testing.T) {
 	}
 	want := mustResult(t)
 
+	// An owner answer that is not a valid fill is a miss, and the shard
+	// computes: each field is validated as the store validates a record,
+	// and an answer without the outcome header comes from another fill
+	// wire.
+	payload, err := store.EncodeResult(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, outcome, body string }{
+		{"bad type", fillOK, `{"f":[{"s":"0xdeadbeef","t":["uint7"],"l":1}]}`},
+		{"rule id 0", fillOK, `{"f":[{"s":"0xdeadbeef","t":["uint256"],"r":[[0]],"l":1}]}`},
+		{"language 7", fillOK, `{"f":[{"s":"0xdeadbeef","t":["uint256"],"l":7}]}`},
+		{"truncated JSON", fillOK, string(payload[:len(payload)/2])},
+		{"unknown outcome", "maybe", string(payload)},
+		{"old fill wire", "", `{"functions":[{"selector":"0xdeadbeef","types":"(uint256)","rules":[["R1"]],"language":"solidity"}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.outcome != "" {
+					w.Header().Set(fillOutcomeHeader, tc.outcome)
+				}
+				fmt.Fprint(w, tc.body)
+			}))
+			defer bad.Close()
+			fill := PeerFill(soleOwnerRing(), "other", map[string]string{"owner": bad.URL}, nil, 0)
+			if _, _, ok := fill(context.Background(), code); ok {
+				t.Fatal("fill adopted an invalid answer")
+			}
+			computed := false
+			res, err := core.NewCache(4).GetOrComputeFill(context.Background(), code, fill, func() (core.Result, error) {
+				computed = true
+				return want, nil
+			})
+			if err != nil || !computed {
+				t.Fatalf("shard did not compute after a bad fill: computed=%v err=%v", computed, err)
+			}
+			assertResultEqual(t, res, want)
+		})
+	}
+
 	// The owner shard has the result cached; its fill endpoint serves it.
 	ownerCache := core.NewCache(8)
-	if _, err := ownerCache.GetOrCompute(code, func() (core.Result, error) { return want, nil }); err != nil {
+	if _, err := ownerCache.GetOrComputeFill(context.Background(), code, nil, func() (core.Result, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	owner := httptest.NewServer(FillHandler(ownerCache, 0))

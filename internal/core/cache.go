@@ -14,7 +14,9 @@ import (
 // massively duplicated on-chain (the same token/proxy templates deployed
 // millions of times), so a fleet scan that dedupes by code hash skips the
 // bulk of the symbolic-execution work; hit/miss/eviction counters land in
-// the pipeline telemetry.
+// the pipeline telemetry. GetOrComputeFill is the one way in: it looks a
+// recovery up, coalesces concurrent callers on one bytecode, and stores
+// the outcome.
 //
 // Only complete results are stored: truncated recoveries depend on the
 // budget that produced them and are recomputed. Cached Results are shared
@@ -37,7 +39,7 @@ type cacheEntry struct {
 	err error
 }
 
-// flight is one in-progress recovery shared by coalesced GetOrCompute
+// flight is one in-progress recovery shared by coalesced GetOrComputeFill
 // callers: the winner computes, everyone else waits on done.
 type flight struct {
 	done chan struct{}
@@ -65,35 +67,12 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// lookup returns the cached outcome for the bytecode, if present in
-// either tier. A disk hit is promoted into the memory LRU and metered as
-// a cache hit: a warm store keeps the hit rate high straight through a
-// process restart.
-func (c *Cache) lookup(code []byte) (Result, error, bool) {
-	key := keccak.Sum256(code)
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		mCacheHits.Inc()
-		ent := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		return ent.res, ent.err, true
-	}
-	c.mu.Unlock()
-	if res, rerr, ok := c.diskLoad(key); ok {
-		mCacheHits.Inc()
-		c.storeKey(key, res, rerr)
-		return res, rerr, true
-	}
-	mCacheMisses.Inc()
-	return Result{}, nil, false
-}
-
-// Peek returns the cached outcome for the bytecode without counting a hit
-// or a miss. It exists for the cluster peer-fill endpoint, which serves
-// another shard's lookup out of the local cache: metering those as local
-// hits would distort the shard's own hit rate. A peeked entry is still
-// promoted in the LRU — serving it to a peer is a use.
+// Peek returns the memory tier's outcome for the bytecode without counting
+// a hit or a miss, and without consulting the disk tier. Its callers read
+// the cache for something other than a recovery of their own: the cluster
+// peer-fill endpoint serves another shard's lookup (metering it as a local
+// hit would distort the shard's own hit rate), and the scanner meters
+// dedupe. A peeked entry is still promoted in the LRU — it is a use.
 func (c *Cache) Peek(code []byte) (Result, error, bool) {
 	key := keccak.Sum256(code)
 	c.mu.Lock()
@@ -117,23 +96,21 @@ func (c *Cache) Peek(code []byte) (Result, error, bool) {
 // W3C trace context and records a span under the recovery.
 type FillFunc func(ctx context.Context, code []byte) (Result, error, bool)
 
-// GetOrCompute returns the cached outcome for the bytecode or runs compute
-// once, coalescing concurrent callers for the same bytecode singleflight-
-// style: while one caller computes, the others wait and share its outcome
-// (a thundering herd on one contract costs one recovery). Complete
-// outcomes are stored; truncated ones are returned to every waiter but not
-// cached, matching RecoverContext's store policy.
-func (c *Cache) GetOrCompute(code []byte, compute func() (Result, error)) (Result, error) {
-	return c.GetOrComputeFill(context.Background(), code, nil, compute)
-}
-
-// GetOrComputeFill is GetOrCompute with a fill stage: on a miss the
-// coalescing winner first consults fill (nil skips straight to compute).
-// A filled outcome is stored under the same cacheability policy as a
-// computed one and shared with every coalesced waiter; fill returning
-// ok=false, or a truncated filled result, falls through to compute. ctx
-// is handed to the fill hook only (compute owns its own context via its
-// closure), so a coalesced herd's fill runs under the winner's context.
+// GetOrComputeFill returns the cached outcome for the bytecode or
+// produces it once, coalescing concurrent callers for the same bytecode
+// singleflight-style: while one caller works, the others wait and share
+// its outcome, so a thundering herd on one contract costs one recovery.
+// The winner tries the disk tier, then fill (nil skips it), then compute.
+// Complete outcomes are stored; truncated ones and transient errors are
+// shared with every waiter but not cached. A filled outcome follows the
+// same policy, and fill returning ok=false, or a truncated filled result,
+// falls through to compute. ctx is handed to the fill hook only (compute
+// owns its own context via its closure), so a coalesced herd's fill runs
+// under the winner's context.
+//
+// Metering: a memory or disk hit counts sigrec_cache_hits_total, a waiter
+// sigrec_cache_coalesced_total, and the winner of a miss
+// sigrec_cache_misses_total — one of the three per call.
 func (c *Cache) GetOrComputeFill(ctx context.Context, code []byte, fill FillFunc, compute func() (Result, error)) (Result, error) {
 	key := keccak.Sum256(code)
 	c.mu.Lock()
@@ -211,14 +188,8 @@ func cacheable(res Result, err error) bool {
 	return !res.Truncated && (err == nil || errors.Is(err, ErrNoFunctions))
 }
 
-// store inserts an outcome into both tiers, evicting the least recently
-// used memory entry when over capacity.
-func (c *Cache) store(code []byte, res Result, err error) {
-	key := keccak.Sum256(code)
-	c.storeKey(key, res, err)
-	c.diskSave(key, res, err)
-}
-
+// storeKey inserts an outcome into the memory tier, evicting the least
+// recently used entry when over capacity.
 func (c *Cache) storeKey(key [32]byte, res Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

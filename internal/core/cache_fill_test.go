@@ -34,7 +34,7 @@ func TestGetOrComputeFill(t *testing.T) {
 			t.Errorf("fill hits delta = %d, want 1", d)
 		}
 		// The stored copy answers later lookups without fill or compute.
-		res2, err := cache.GetOrCompute(code, func() (Result, error) {
+		res2, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 			t.Fatal("compute ran on a cached key")
 			return Result{}, nil
 		})
@@ -92,7 +92,7 @@ func TestPeek(t *testing.T) {
 	if _, _, ok := cache.Peek(code); ok {
 		t.Fatal("Peek hit on an empty cache")
 	}
-	if _, err := cache.GetOrCompute(code, func() (Result, error) {
+	if _, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 		return Result{Functions: []RecoveredFunction{{}}}, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sigrec/internal/corpus"
+	"sigrec/internal/eventlog"
 )
 
 // TestGetOrComputeCoalesces proves the singleflight property: N concurrent
@@ -27,7 +33,7 @@ func TestGetOrComputeCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, err := cache.GetOrCompute(code, func() (Result, error) {
+			res, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 				computes.Add(1)
 				<-release
 				return want, nil
@@ -71,7 +77,7 @@ func TestGetOrComputeTruncatedNotCached(t *testing.T) {
 	code := []byte{0x01, 0x02}
 	var computes int
 	for i := 0; i < 2; i++ {
-		res, err := cache.GetOrCompute(code, func() (Result, error) {
+		res, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 			computes++
 			return Result{Truncated: true}, nil
 		})
@@ -94,7 +100,7 @@ func TestGetOrComputeErrNoFunctionsCached(t *testing.T) {
 	code := []byte{0xfe}
 	var computes int
 	for i := 0; i < 2; i++ {
-		_, err := cache.GetOrCompute(code, func() (Result, error) {
+		_, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 			computes++
 			return Result{}, ErrNoFunctions
 		})
@@ -115,7 +121,7 @@ func TestGetOrComputeTransientErrorNotCached(t *testing.T) {
 	boom := errors.New("transient")
 	var computes int
 	for i := 0; i < 2; i++ {
-		_, err := cache.GetOrCompute(code, func() (Result, error) {
+		_, err := cache.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 			computes++
 			return Result{}, boom
 		})
@@ -125,5 +131,76 @@ func TestGetOrComputeTransientErrorNotCached(t *testing.T) {
 	}
 	if computes != 2 {
 		t.Fatalf("computes = %d, want 2 (transient errors must not be cached)", computes)
+	}
+}
+
+// TestRecoverContextCoalesces releases 16 recoveries of one never-seen
+// bytecode at once over one shared Cache: exactly one computes (one
+// cache miss), the other 15 are hits or coalesced waits, all 16 results
+// render alike, and each call emits its own wide event — the 15 that did
+// not compute marked as cache hits.
+func TestRecoverContextCoalesces(t *testing.T) {
+	synth, err := corpus.GenerateSynthesized(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A ten-function contract takes milliseconds, long enough that the
+	// herd arrives while the winner is still computing.
+	code := distinctCodes(synth)[0]
+	want := renderResult(RecoverContext(context.Background(), code, Options{}))
+	if strings.Contains(want, "truncated=true") {
+		t.Fatalf("reference recovery truncated; a truncated outcome is not cached:\n%s", want)
+	}
+
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	w, err := eventlog.New(eventlog.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: NewCache(8), EventLog: w}
+	const n = 16
+	got := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	before := Metrics().Snapshot().Counters
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = renderResult(RecoverContext(context.Background(), code, opts))
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	after := Metrics().Snapshot().Counters
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	delta := func(name string) uint64 { return after[name] - before[name] }
+	if d := delta("sigrec_cache_misses_total"); d != 1 {
+		t.Errorf("cache misses rose by %d, want 1: one recovery computes", d)
+	}
+	if d := delta("sigrec_cache_hits_total") + delta("sigrec_cache_coalesced_total"); d != n-1 {
+		t.Errorf("hits plus coalesced rose by %d, want %d", d, n-1)
+	}
+	for i, g := range got {
+		if g != want {
+			t.Fatalf("caller %d rendered differently:\n%s\nwant:\n%s", i, g, want)
+		}
+	}
+	events, _, err := eventlog.ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	for _, ev := range events {
+		if ev.Cache == "hit" {
+			hits++
+		}
+	}
+	if len(events) != n || hits != n-1 {
+		t.Errorf("%d events, %d marked hit; want %d and %d", len(events), hits, n, n-1)
 	}
 }

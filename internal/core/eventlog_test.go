@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sigrec/internal/corpus"
@@ -172,6 +173,66 @@ func TestRecoverEmitsWideEvents(t *testing.T) {
 	if !reflect.DeepEqual(causes, rep.TruncCauses) || sum != on["sigrec_recoveries_truncated_total"] {
 		t.Errorf("truncation causes moved %v (sum %d) over %d truncated recoveries, log says %v",
 			causes, sum, on["sigrec_recoveries_truncated_total"], rep.TruncCauses)
+	}
+}
+
+// TestHerdEventsReconcile runs concurrent herds over a shared cache —
+// four E1 contracts, the first warmed beforehand, eight callers each, all
+// released together — and reconciles the event log with the counters: one event
+// per call, the events marked hit are exactly the cache hits plus the
+// coalesced waits, and the rest are exactly the misses.
+func TestHerdEventsReconcile(t *testing.T) {
+	c, err := corpus.Generate(corpus.Config{Seed: 7, Solidity: 4, MaxParams: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "herd.ndjson")
+	w, err := eventlog.New(eventlog.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: NewCache(8), EventLog: w}
+	if _, err := RecoverContext(context.Background(), c.Entries[0].Code, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const perCode = 8
+	calls := perCode * len(c.Entries)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	on := meterDeltas(func() {
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(code []byte) {
+				defer wg.Done()
+				<-start
+				if _, err := RecoverContext(context.Background(), code, opts); err != nil {
+					t.Error(err)
+				}
+			}(c.Entries[i%len(c.Entries)].Code)
+		}
+		close(start)
+		wg.Wait()
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := eventlog.ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events = events[1:] // the warming recovery
+	rep := eventlog.Analyze(events, 0)
+	if rep.Events != calls || on["sigrec_recoveries_total"] != uint64(calls) {
+		t.Fatalf("%d events and %d recoveries counted for %d calls", rep.Events, on["sigrec_recoveries_total"], calls)
+	}
+	if got, want := uint64(rep.CacheHits), on["sigrec_cache_hits_total"]+on["sigrec_cache_coalesced_total"]; got != want {
+		t.Errorf("%d events marked hit, counters say %d hits plus coalesced", got, want)
+	}
+	if got, want := uint64(rep.Events-rep.CacheHits), on["sigrec_cache_misses_total"]; got != want {
+		t.Errorf("%d computed events, counters say %d misses", got, want)
 	}
 }
 

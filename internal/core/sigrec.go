@@ -37,13 +37,15 @@ type Options struct {
 	// Truncated, rather than erroring.
 	Deadline time.Duration
 	// Cache, when non-nil, memoizes whole-contract recoveries keyed by
-	// keccak256(code). Cached Results are shared; callers must not mutate
-	// them.
+	// keccak256(code) and coalesces concurrent recoveries of one bytecode
+	// (see Cache.GetOrComputeFill). Cached Results are shared; callers
+	// must not mutate them.
 	Cache *Cache
 	// EventLog, when non-nil, receives one wide event per recovery —
-	// including cache hits, which are marked Cache:"hit" — so the durable
-	// log's totals line up 1:1 with the recovery counters on /metrics.
-	// Emission is asynchronous and never blocks the recovery.
+	// including cache hits and coalesced waits, which are marked
+	// Cache:"hit" — so the durable log's totals line up 1:1 with the
+	// recovery counters on /metrics. Emission is asynchronous and never
+	// blocks the recovery.
 	EventLog *eventlog.Writer
 	// workers overrides the per-selector fan-out width. Every caller
 	// outside this package leaves it 0, which selects selectorWorkers'
@@ -144,18 +146,19 @@ func RecoverContext(ctx context.Context, code []byte, opts Options) (Result, err
 	var (
 		res Result
 		err error
-		hit bool
 	)
-	if opts.Cache != nil {
-		res, err, hit = opts.Cache.lookup(code)
-	}
-	if hit {
-		ev.Cache = "hit"
-		obs.FromContext(ctx).SetStr("cache", "hit")
-	} else {
+	if opts.Cache == nil {
 		res, err = recoverUncached(ctx, code, opts, &ev)
-		if opts.Cache != nil && cacheable(res, err) {
-			opts.Cache.store(code, res, err)
+	} else {
+		computed := false
+		res, err = opts.Cache.GetOrComputeFill(ctx, code, nil, func() (Result, error) {
+			computed = true
+			return recoverUncached(ctx, code, opts, &ev)
+		})
+		// A memory or disk hit, or a wait on another caller's flight.
+		if !computed {
+			ev.Cache = "hit"
+			obs.FromContext(ctx).SetStr("cache", "hit")
 		}
 	}
 	ev.DurUS = time.Since(start).Microseconds()

@@ -12,12 +12,14 @@ type ResultStore interface {
 	Save(key [32]byte, res Result, rerr error) error
 }
 
-// TieredCache layers a ResultStore under the in-memory LRU: lookups go
-// memory → disk → (peer fill) → compute, and every cacheable outcome is
+// TieredCache layers a ResultStore under the in-memory LRU: the embedded
+// Cache's GetOrComputeFill goes memory → disk → (peer fill) → compute, the
+// last three under one flight per bytecode, and every cacheable outcome is
 // written through to both tiers. A disk hit is promoted into memory and
 // counts as a cache hit — after a restart the memory tier is empty but the
 // hit rate stays warm immediately, with no recomputation and no peer
-// traffic for anything the store already holds.
+// traffic for anything the store already holds. The wrapper adds no
+// method: callers use its Cache.
 type TieredCache struct {
 	*Cache
 }

@@ -67,7 +67,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 	for i := range codes {
 		codes[i] = []byte{0x60, byte(i), 0x60, 0x40}
 		res := tieredResult(byte(i))
-		got, err := warm.GetOrCompute(codes[i], func() (Result, error) { return res, nil })
+		got, err := warm.GetOrComputeFill(context.Background(), codes[i], nil, func() (Result, error) { return res, nil })
 		if err != nil || len(got.Functions) != 1 {
 			t.Fatalf("seed %d: %+v %v", i, got, err)
 		}
@@ -96,7 +96,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 	// Promotion: the second pass must be pure memory hits.
 	before := disk.loads.Load()
 	for _, code := range codes {
-		if _, err := restarted.GetOrCompute(code, func() (Result, error) {
+		if _, err := restarted.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 			return Result{}, errors.New("must not compute")
 		}); err != nil {
 			t.Fatal(err)
@@ -113,13 +113,13 @@ func TestTieredCacheErrNoFunctions(t *testing.T) {
 	disk := newMemStore()
 	c := NewTieredCache(4, disk)
 	code := []byte{0x00}
-	if _, err := c.GetOrCompute(code, func() (Result, error) {
+	if _, err := c.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 		return Result{}, ErrNoFunctions
 	}); !errors.Is(err, ErrNoFunctions) {
 		t.Fatalf("seed err = %v", err)
 	}
 	restarted := NewTieredCache(4, disk)
-	if _, err := restarted.GetOrCompute(code, func() (Result, error) {
+	if _, err := restarted.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 		return Result{}, errors.New("must not compute")
 	}); !errors.Is(err, ErrNoFunctions) {
 		t.Fatalf("restarted err = %v", err)
@@ -133,12 +133,12 @@ func TestTieredCacheSaveErrorDoesNotFail(t *testing.T) {
 	disk.saveErr = errors.New("disk full")
 	c := NewTieredCache(4, disk)
 	code := []byte{0x01}
-	res, err := c.GetOrCompute(code, func() (Result, error) { return tieredResult(9), nil })
+	res, err := c.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) { return tieredResult(9), nil })
 	if err != nil || len(res.Functions) != 1 {
 		t.Fatalf("recovery failed on save error: %+v %v", res, err)
 	}
 	// Still a memory hit afterwards.
-	if _, err := c.GetOrCompute(code, func() (Result, error) {
+	if _, err := c.GetOrComputeFill(context.Background(), code, nil, func() (Result, error) {
 		return Result{}, errors.New("must not compute")
 	}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,9 @@ type Report struct {
 
 	// Errors and Truncated mirror the sigrec_recover_errors_total and
 	// sigrec_truncated_total counters; CacheHits counts events answered by
-	// the pipeline result cache; Functions sums recovered signatures.
+	// the pipeline result cache without computing — memory and disk hits
+	// and coalesced waits, so it mirrors sigrec_cache_hits_total plus
+	// sigrec_cache_coalesced_total; Functions sums recovered signatures.
 	Errors    int   `json:"errors"`
 	Truncated int   `json:"truncated"`
 	CacheHits int   `json:"cache_hits"`
@@ -143,8 +145,9 @@ func Analyze(events []Event, topK int) *Report {
 		ev := &events[i]
 		durs = append(durs, ev.DurUS)
 		// Outcome totals mirror the /metrics counters exactly: a cache hit
-		// increments only sigrec_recoveries_total (its result — functions,
-		// truncation, error — was already counted when first computed), so
+		// or coalesced wait increments only sigrec_recoveries_total (its
+		// result — functions, truncation, error — was counted once, by the
+		// recovery that computed it), so
 		// hit events contribute only to Events and CacheHits here. That is
 		// what lets `sigrec-analyze` totals be diffed against counter deltas.
 		if ev.Cache == "hit" {

@@ -70,8 +70,10 @@ type Event struct {
 	RuleFires RuleFires `json:"rule_fires,omitempty"`
 
 	// Truncated/TruncCause report a hit exploration budget; Cache is the
-	// disposition ("hit" when the pipeline-level result cache answered);
-	// Error is the recovery error, if any.
+	// disposition ("hit" when the pipeline-level result cache answered
+	// without this call computing: a memory or disk hit, or a wait on a
+	// concurrent caller's recovery of the same bytecode); Error is the
+	// recovery error, if any.
 	Truncated  bool   `json:"truncated,omitempty"`
 	TruncCause string `json:"trunc_cause,omitempty"`
 	Cache      string `json:"cache,omitempty"`

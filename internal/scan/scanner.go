@@ -34,9 +34,11 @@ const (
 type Config struct {
 	// Source is the chain to follow.
 	Source chain.Source
-	// Cache memoizes recoveries keyed by keccak256(code). Give the
-	// scanner a TieredCache backed by a store and already-recovered
-	// bytecode is never recomputed — the dedupe stage of the pipeline.
+	// Cache memoizes recoveries keyed by keccak256(code) and coalesces
+	// workers handed the same bytecode at once, so each template is
+	// computed once — the dedupe stage of the pipeline. Back it with a
+	// store (NewTieredCache) and already-recovered bytecode is never
+	// recomputed across restarts either.
 	Cache *core.Cache
 	// EventLog receives one wide event per deployment recovery (cache
 	// hits included), the substrate of crash reconciliation.
@@ -85,13 +87,6 @@ type Scanner struct {
 	cfg Config
 	db  *efsd.DB
 
-	// inflight coalesces concurrent recoveries of identical bytecode:
-	// RecoverContext's plain cache path has no singleflight, so without
-	// this two workers handed the same template at once would both
-	// compute it.
-	inflightMu sync.Mutex
-	inflight   map[[32]byte]chan struct{}
-
 	// seen is the process-lifetime set of bytecode keys, for dedupe
 	// metering (the cache/store do the actual dedupe).
 	seenMu sync.Mutex
@@ -130,10 +125,9 @@ func New(cfg Config) (*Scanner, error) {
 	cfg.Recover.Cache = cfg.Cache
 	cfg.Recover.EventLog = cfg.EventLog
 	s := &Scanner{
-		cfg:      cfg,
-		db:       efsd.New(),
-		inflight: make(map[[32]byte]chan struct{}),
-		seen:     make(map[[32]byte]struct{}),
+		cfg:  cfg,
+		db:   efsd.New(),
+		seen: make(map[[32]byte]struct{}),
 	}
 	if cfg.EFSDPath != "" {
 		if f, err := os.Open(cfg.EFSDPath); err == nil {
@@ -486,14 +480,13 @@ func (s *Scanner) process(ctx context.Context, it workItem) {
 		rec.SetStr("dedupe", "hit")
 	}
 
-	// Coalesce concurrent identical bytecode: the loser waits, then takes
-	// the cache-hit path inside RecoverContext (its wide event still
-	// carries this deployment's request id).
-	s.acquire(key)
+	// RecoverContext coalesces concurrent identical bytecode through the
+	// cache: a worker that finds the template already being computed waits
+	// and shares the outcome, and its wide event, marked as a cache hit,
+	// still carries this deployment's request id.
 	mInflightRecover.Add(1)
 	res, err := core.RecoverContext(ctx, code, s.cfg.Recover)
 	mInflightRecover.Add(-1)
-	s.release(key)
 
 	mScanRecoveries.Inc()
 	if err != nil {
@@ -547,28 +540,4 @@ func (s *Scanner) resolveCode(ctx context.Context, code []byte) ([]byte, ProxyKi
 		}
 	}
 	return code, kind
-}
-
-func (s *Scanner) acquire(key [32]byte) {
-	for {
-		s.inflightMu.Lock()
-		ch, busy := s.inflight[key]
-		if !busy {
-			s.inflight[key] = make(chan struct{})
-			s.inflightMu.Unlock()
-			return
-		}
-		s.inflightMu.Unlock()
-		<-ch
-	}
-}
-
-func (s *Scanner) release(key [32]byte) {
-	s.inflightMu.Lock()
-	ch := s.inflight[key]
-	delete(s.inflight, key)
-	s.inflightMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }

@@ -143,6 +143,61 @@ func TestScannerBackfill(t *testing.T) {
 	assertEFSDAttribution(t, fx, blocks)
 }
 
+// TestScannerComputesTemplateOnce scans one block that deploys a single
+// template eight times over four workers: the cache coalesces the workers
+// handed it at once, so the template is computed exactly once, and every
+// deployment still gets its own wide event, the other seven marked as
+// cache hits.
+func TestScannerComputesTemplateOnce(t *testing.T) {
+	tmpls, err := chain.SyntheticTemplates(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deploys = 8
+	src, err := chain.NewSynthetic(chain.SourceConfig{
+		Seed:            5,
+		Blocks:          1,
+		DeploysPerBlock: deploys,
+		Templates:       chain.TemplateCodes(tmpls),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	w, err := eventlog.New(eventlog.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Source: src, Cache: core.NewCache(16), EventLog: w, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := core.Metrics().Snapshot().Counters
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	after := core.Metrics().Snapshot().Counters
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := after["sigrec_cache_misses_total"] - before["sigrec_cache_misses_total"]; d != 1 {
+		t.Errorf("template computed %d times, want 1", d)
+	}
+	events, _, err := eventlog.ReadLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	for _, ev := range events {
+		if ev.Cache == "hit" {
+			hits++
+		}
+	}
+	if len(events) != deploys || hits != deploys-1 {
+		t.Errorf("%d events, %d marked hit; want %d and %d", len(events), hits, deploys, deploys-1)
+	}
+}
+
 // assertEFSDAttribution checks that each proxy deployment's
 // implementation template has all of its declared selectors published.
 func assertEFSDAttribution(t *testing.T, fx *scanFixture, blocks uint64) {

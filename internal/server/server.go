@@ -200,8 +200,9 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // options maps the server budgets onto the pipeline Options. The shared
-// cache is not set here: caching and coalescing happen one level up in
-// Cache.GetOrCompute.
+// cache is not set here: caching, peer fill and coalescing happen one
+// level up in recoverItem's Cache.GetOrComputeFill call, which brackets
+// admission to the worker pool.
 func (s *Server) options() core.Options {
 	return core.Options{
 		StepBudget: s.cfg.StepBudget,
@@ -254,7 +255,7 @@ func (s *Server) recoverItem(ctx context.Context, code []byte, blocking bool) (c
 }
 
 // runPooled executes one recovery on the worker pool; it is the compute
-// half of GetOrCompute, so it runs once per coalesced herd.
+// half of GetOrComputeFill, so it runs once per coalesced herd.
 func (s *Server) runPooled(ctx context.Context, code []byte, blocking bool) (core.Result, error) {
 	var (
 		res  core.Result

@@ -11,8 +11,9 @@ import (
 // The payload is JSON of a compact DTO: parameter types travel as their
 // canonical strings and are re-parsed on load, so the on-disk format is
 // decoupled from abi.Type's in-memory shape and every loaded type has been
-// through the validating parser (a corrupt-but-crc-valid payload cannot
-// smuggle a malformed type into the pipeline).
+// through the validating parser. Selectors, rule ids and languages are
+// range-checked too: a corrupt-but-crc-valid payload, or a peer's answer,
+// cannot smuggle a malformed field into the pipeline.
 
 type fnPayload struct {
 	Selector   string   `json:"s"`
@@ -28,7 +29,10 @@ type resultPayload struct {
 	Truncated bool        `json:"trunc,omitempty"`
 }
 
-func encodeResult(res core.Result) ([]byte, error) {
+// EncodeResult is the one lossless encoding of a recovery Result: the
+// store's record payload, and the body of the cluster's peer-fill answer.
+// DecodeResult inverts it.
+func EncodeResult(res core.Result) ([]byte, error) {
 	p := resultPayload{Truncated: res.Truncated}
 	for r := 1; r <= core.NumRules; r++ {
 		if res.Rules[r] != 0 {
@@ -61,7 +65,8 @@ func encodeResult(res core.Result) ([]byte, error) {
 	return b, nil
 }
 
-func decodeResult(b []byte) (core.Result, error) {
+// DecodeResult parses and validates an EncodeResult payload.
+func DecodeResult(b []byte) (core.Result, error) {
 	var p resultPayload
 	if err := json.Unmarshal(b, &p); err != nil {
 		return core.Result{}, fmt.Errorf("store: decode: %w", err)
@@ -78,9 +83,13 @@ func decodeResult(b []byte) (core.Result, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
+		lang := core.Language(fp.Language)
+		if lang != core.LangSolidity && lang != core.LangVyper {
+			return core.Result{}, fmt.Errorf("store: decode: language %d out of range", fp.Language)
+		}
 		fn := core.RecoveredFunction{
 			Selector:  sel,
-			Language:  core.Language(fp.Language),
+			Language:  lang,
 			Truncated: fp.Truncated,
 		}
 		for _, ts := range fp.Types {

@@ -335,7 +335,7 @@ func (s *Store) Load(key [32]byte) (core.Result, error, bool) {
 	if recordCRC(buf[:37], buf[recHeaderLen:]) != wantCRC {
 		return core.Result{}, nil, false
 	}
-	res, err := decodeResult(buf[recHeaderLen:])
+	res, err := DecodeResult(buf[recHeaderLen:])
 	if err != nil {
 		return core.Result{}, nil, false
 	}
@@ -359,7 +359,7 @@ func (s *Store) Save(key [32]byte, res core.Result, rerr error) error {
 	default:
 		return fmt.Errorf("store: outcome with error %q is not persistable", rerr)
 	}
-	payload, err := encodeResult(res)
+	payload, err := EncodeResult(res)
 	if err != nil {
 		return err
 	}

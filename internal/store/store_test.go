@@ -255,6 +255,45 @@ func TestStoreCorruptRecordSkipped(t *testing.T) {
 	}
 }
 
+// TestStoreUnknownLanguageIsMiss writes a crc-valid record whose function
+// carries a language that is neither Solidity nor Vyper ("l":7): the
+// validating decode must refuse it, so Load reports a miss, before and
+// after a reopen, rather than loading a malformed function.
+func TestStoreUnknownLanguageIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := sampleResult(1)
+	bad.Functions[0].Language = core.Language(7)
+	for i, res := range []core.Result{sampleResult(0), bad} {
+		if err := s.Save(sampleKey(i), res, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, err := EncodeResult(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, []byte(`"l":7`)) {
+		t.Fatalf("payload does not carry language 7: %s", payload)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, _, ok := s.Load(sampleKey(1)); ok {
+			t.Fatalf("pass %d: record with language 7 served", pass)
+		}
+		if _, _, ok := s.Load(sampleKey(0)); !ok {
+			t.Fatalf("pass %d: valid record lost", pass)
+		}
+		s.Close()
+		if s, err = Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+}
+
 // TestStoreRotationAndCompaction drives rotation via a tiny segment cap,
 // then overwrites enough to trigger compaction; the live set must survive
 // with fewer on-disk bytes and a reopen must agree.
